@@ -50,7 +50,7 @@ let record_trace asm prog =
     incr len
   in
   ignore
-    (Sim.Interp.run ~on_fetch:(fun ~addr ~size -> push addr size) asm prog);
+    (Sim.Engine.run ~on_fetch:(fun ~addr ~size -> push addr size) asm prog);
   (Array.sub !addrs 0 !len, Array.sub !sizes 0 !len)
 
 (* The largest CFG among a handful of fuzz-generated programs — input
@@ -146,8 +146,6 @@ let bechamel_tests () =
         ignore (Sim.Interp.Decoded.decode asm_simple prog_simple));
     t "engine-threaded/quicksort" (fun () ->
         ignore (Sim.Engine.run asm_simple prog_simple));
-    t "interp-decoded/quicksort" (fun () ->
-        ignore (Sim.Interp.run asm_simple prog_simple));
     t "interp-reference/quicksort" (fun () ->
         ignore (Sim.Interp.run_reference asm_simple prog_simple));
     t "engine-compile/quicksort" (fun () ->
@@ -225,7 +223,7 @@ let run_bechamel ?(quota = 0.5) () =
    totals of the sweep, in one JSON document.  The numbers come from the
    same Harness.Measure/Telemetry path the tables use.  [run_many]
    guarantees the document is byte-identical at any [jobs]. *)
-let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
+let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
     ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "") path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
   let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
@@ -258,7 +256,7 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
   in
   let results =
     Harness.Measure.run_many ~log ~profiler ?trace ~metrics:pool_metrics ~jobs
-      ?deadline ?retries ?chaos ?engine tasks
+      ?deadline ?retries ?chaos tasks
   in
   (* The supervising domain's decode/compile cache tallies (workers'
      shards are domain-local and die with their domain; a -j 1 sweep sees
@@ -281,12 +279,10 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
         (String.concat "," (List.map Harness.Measure.failure_to_json fs))
   in
   let oc = open_out path in
-  (* The engine label is provenance, not a measurement: every engine
-     must produce the same results array, so the label is the only field
-     that could differ between sweeps of different engines. *)
-  Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name
-       (Option.value ~default:Sim.Engine.Threaded engine))
+  (* The "engine" field is provenance that the committed baseline and
+     the trend history carry; there is one engine. *)
+  Printf.fprintf oc
+    "{\"engine\":\"threaded\",\"results\":[%s],\"counters\":{%s}%s}\n"
     (String.concat "," (List.map Harness.Measure.to_json results))
     (String.concat "," counters)
     failures;
@@ -338,7 +334,7 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
    byte-identical to the cold [write_json] path above at any worker
    count, with or without a kill-and-resume in between. *)
 let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
-    ?engine path =
+    path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
   let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
   let log = Telemetry.Log.make Telemetry.Log.Memory in
@@ -353,10 +349,9 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
   in
   let store = Campaign.Store.open_ dir in
   let worker_argv = [| Sys.executable_name; "--worker"; "--store"; dir |] in
-  let engine = Option.value ~default:Sim.Engine.Threaded engine in
   let rows, s =
     Campaign.Runner.sweep ~store ~resume ~workers ~worker_argv ~jobs ?deadline
-      ?retries ?chaos ~engine ~log tasks
+      ?retries ?chaos ~log tasks
   in
   List.iter
     (fun d ->
@@ -375,8 +370,8 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
         (String.concat "," (List.map Harness.Measure.failure_to_json fs))
   in
   let oc = open_out path in
-  Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name engine)
+  Printf.fprintf oc
+    "{\"engine\":\"threaded\",\"results\":[%s],\"counters\":{%s}%s}\n"
     (String.concat ","
        (List.map (fun r -> r.Campaign.Runner.r_row) rows))
     (String.concat "," counters)
@@ -460,7 +455,6 @@ let () =
   let profile_out = ref "" in
   let profile_top = ref 15 in
   let trace_out = ref "" in
-  let engine = ref None in
   let store = ref "" in
   let resume = ref false in
   let workers = ref 0 in
@@ -517,17 +511,6 @@ let () =
         Arg.Set_string trace_out,
         "PATH  write a Chrome/Perfetto trace of the --json sweep (worker \
          spans, supervisor and chaos events)" );
-      ( "--engine",
-        Arg.String
-          (fun s ->
-            match Sim.Engine.kind_of_string s with
-            | Some k -> engine := Some k
-            | None ->
-              Printf.eprintf "bad --engine (threaded|decoded|reference)\n";
-              exit 2),
-        "ENGINE  execution engine for the --json sweep: threaded (default), \
-         decoded or reference — observationally equivalent, only speed \
-         differs" );
       ( "--store",
         Arg.Set_string store,
         "DIR  content-addressed result store for the --json sweep (campaign \
@@ -584,14 +567,14 @@ let () =
         campaign_failed :=
           write_json_campaign ~dir:!store ~resume:!resume ~workers:!workers
             ~jobs:(max 1 !jobs) ?deadline ?retries:!retries ?chaos:!chaos
-            ?engine:!engine "BENCH_results.json"
+            "BENCH_results.json"
       else begin
         if !resume || !workers > 0 then begin
           Printf.eprintf "--resume/--workers need --store DIR\n";
           exit 2
         end;
         write_json ~jobs:(max 1 !jobs) ?deadline ?retries:!retries
-          ?chaos:!chaos ?engine:!engine ~profile:!profile
+          ?chaos:!chaos ~profile:!profile
           ~profile_out:!profile_out ~profile_top:!profile_top
           ~trace_out:!trace_out "BENCH_results.json"
       end

@@ -42,8 +42,7 @@ let fingerprint () = Opt.Driver.pipeline_signature ^ "+" ^ git_describe ()
 let cache_signature =
   lazy (String.concat ";" (List.map Icache.config_name Icache.paper_configs))
 
-let measure ~engine (b : Programs.Suite.benchmark) level
-    (machine : Ir.Machine.t) =
+let measure (b : Programs.Suite.benchmark) level (machine : Ir.Machine.t) =
   hex ~kind:"measure/1"
     [
       ("program", b.name);
@@ -53,7 +52,6 @@ let measure ~engine (b : Programs.Suite.benchmark) level
       ("level", Opt.Driver.level_name level);
       ("machine", machine.Ir.Machine.short);
       ("caches", Lazy.force cache_signature);
-      ("engine", Sim.Engine.kind_name engine);
       ("compiler", fingerprint ());
     ]
 

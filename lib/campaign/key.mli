@@ -21,10 +21,8 @@ val hex : kind:string -> (string * string) list -> string
 val fingerprint : unit -> string
 
 (** Key of one sweep measurement: program name/source/input/expectation,
-    level, machine, the paper cache-config list, engine, compiler
-    fingerprint. *)
+    level, machine, the paper cache-config list, compiler fingerprint. *)
 val measure :
-  engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
   Ir.Machine.t ->

@@ -32,7 +32,7 @@ type summary = {
 let counters_json counters =
   Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters)
 
-let measure_entry ~key ~engine (b : Programs.Suite.benchmark) level
+let measure_entry ~key (b : Programs.Suite.benchmark) level
     (machine : Ir.Machine.t) (m : Measure.t) counters =
   Json.Obj
     [
@@ -41,7 +41,6 @@ let measure_entry ~key ~engine (b : Programs.Suite.benchmark) level
       ("program", Json.Str b.name);
       ("level", Json.Str (Opt.Driver.level_name level));
       ("machine", Json.Str machine.Ir.Machine.short);
-      ("engine", Json.Str (Sim.Engine.kind_name engine));
       ("output_ok", Json.Bool m.output_ok);
       ("timed_out", Json.Bool m.timed_out);
       (* The rendered BENCH row, replayed verbatim on resume: rendering
@@ -95,40 +94,38 @@ let row_of_entry ~cached j =
 let error_reply msg =
   Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
 
-let measure_one store ~key ~engine b level machine =
+let measure_one store ~key b level machine =
   Store.lease store key;
   let wlog = Log.make Log.Memory in
-  let m = Measure.measure_raw ~log:wlog ~engine b level machine in
+  let m = Measure.measure_raw ~log:wlog b level machine in
   let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-  let entry = measure_entry ~key ~engine b level machine m counters in
+  let entry = measure_entry ~key b level machine m counters in
   Store.commit store ~key entry;
   (m, counters, entry)
 
 let handle_measure store j =
   let str name = Option.bind (Json.member name j) Json.get_string in
-  match (str "bench", str "level", str "machine", str "engine", str "key") with
-  | Some bench, Some level, Some machine, Some engine, Some key -> (
+  match (str "bench", str "level", str "machine", str "key") with
+  | Some bench, Some level, Some machine, Some key -> (
     match
       ( Programs.Suite.find bench,
         Opt.Driver.level_of_string level,
         (match machine with
         | "risc" -> Some Ir.Machine.risc
         | "cisc" -> Some Ir.Machine.cisc
-        | _ -> None),
-        Sim.Engine.kind_of_string engine )
+        | _ -> None) )
     with
-    | Some b, Some level, Some mach, Some engine -> (
-      match measure_one store ~key ~engine b level mach with
+    | Some b, Some level, Some mach -> (
+      match measure_one store ~key b level mach with
       | exception e -> error_reply (Printexc.to_string e)
       | _, _, entry -> (
         match entry with
         | Json.Obj fields ->
           Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
         | _ -> assert false))
-    | None, _, _, _ -> error_reply (Printf.sprintf "unknown benchmark %S" bench)
-    | _, None, _, _ -> error_reply (Printf.sprintf "unknown level %S" level)
-    | _, _, None, _ -> error_reply (Printf.sprintf "unknown machine %S" machine)
-    | _, _, _, None -> error_reply (Printf.sprintf "unknown engine %S" engine))
+    | None, _, _ -> error_reply (Printf.sprintf "unknown benchmark %S" bench)
+    | _, None, _ -> error_reply (Printf.sprintf "unknown level %S" level)
+    | _, _, None -> error_reply (Printf.sprintf "unknown machine %S" machine))
   | _ -> error_reply "measure frame is missing fields"
 
 let worker_handler store payload =
@@ -189,10 +186,9 @@ let failure_of_outcome (b : Programs.Suite.benchmark) level
       }
 
 let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
-    ?(retries = 2) ?chaos ?(engine = Sim.Engine.Threaded) ?(log = Log.null)
-    tasks =
+    ?(retries = 2) ?chaos ?(log = Log.null) tasks =
   let keyed =
-    List.map (fun ((b, level, m) as t) -> (t, Key.measure ~engine b level m)) tasks
+    List.map (fun ((b, level, m) as t) -> (t, Key.measure b level m)) tasks
   in
   let cached : (string, row) Hashtbl.t = Hashtbl.create 128 in
   let diags = ref [] in
@@ -261,7 +257,6 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
                      ("bench", Json.Str b.Programs.Suite.name);
                      ("level", Json.Str (Opt.Driver.level_name level));
                      ("machine", Json.Str mach.Ir.Machine.short);
-                     ("engine", Json.Str (Sim.Engine.kind_name engine));
                      ("key", Json.Str key);
                    ])
             in
@@ -292,11 +287,9 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
           (fun budget ((b, level, mach), key) ->
             Store.lease store key;
             let wlog = Log.make Log.Memory in
-            let m =
-              Measure.measure_raw ~log:wlog ~budget ~engine b level mach
-            in
+            let m = Measure.measure_raw ~log:wlog ~budget b level mach in
             let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-            let entry = measure_entry ~key ~engine b level mach m counters in
+            let entry = measure_entry ~key b level mach m counters in
             Store.commit store ~key entry;
             row_of_measure ~cached:false b level mach m counters)
           to_run

@@ -63,7 +63,6 @@ val sweep :
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Harness.Pool.chaos ->
-  ?engine:Sim.Engine.kind ->
   ?log:Telemetry.Log.t ->
   (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->
   row list * summary

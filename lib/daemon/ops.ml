@@ -89,12 +89,12 @@ let compile_payload ?log ?diags ?budget ~level ~machine ~path source =
 
 (* --- measure: the three-level comparison rows --- *)
 
-let measure_rows ?log ?budget ?(verify = false) ?engine ~path ~name ~source
+let measure_rows ?log ?budget ?(verify = false) ~path ~name ~source
     ~input machine =
   let adhoc ?expected_output level =
     Harness.Measure.run_adhoc
       ~opts:(make_opts ~verify level)
-      ?log ?budget ?engine ~name ~source ~input ?expected_output level machine
+      ?log ?budget ~name ~source ~input ?expected_output level machine
   in
   let err ?exit_code code fmt =
     Printf.ksprintf

@@ -60,7 +60,6 @@ val measure_rows :
   ?log:Telemetry.Log.t ->
   ?budget:Telemetry.Budget.t ->
   ?verify:bool ->
-  ?engine:Sim.Engine.kind ->
   path:string ->
   name:string ->
   source:string ->

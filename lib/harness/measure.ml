@@ -152,8 +152,7 @@ let record_timeout log (m : t) =
    private log. *)
 let measure_raw ?opts ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(verify = true) ?budget
-    ?(engine = Sim.Engine.Threaded) (b : Programs.Suite.benchmark) level machine
-    =
+    (b : Programs.Suite.benchmark) level machine =
   let profiling = Telemetry.Profiler.enabled profiler in
   let opts =
     match opts with
@@ -184,8 +183,7 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
   let interp_t0 = Unix.gettimeofday () in
-  let exec = Sim.Engine.select engine in
-  let res = exec ~input:b.input ~on_fetch ~log ?budget asm prog in
+  let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
   let interp_ms = (Unix.gettimeofday () -. interp_t0) *. 1e3 in
   let m =
     {
@@ -248,22 +246,16 @@ let record log (b : Programs.Suite.benchmark) m =
   if m.timed_out then record_timeout log m
   else if not m.output_ok then record_mismatch log m ~expected:b.expected_output
 
-let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify ?budget ?engine
+let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify ?budget
     (b : Programs.Suite.benchmark) level machine =
-  let m =
-    measure_raw ?opts ~log ?profiler ?verify ?budget ?engine b level machine
-  in
+  let m = measure_raw ?opts ~log ?profiler ?verify ?budget b level machine in
   record log b m;
   m
 
-(* The memo key carries no engine: the engines are observationally
-   equivalent (the test suite holds them to it), so a measurement is a
-   valid answer whichever engine computed it. *)
-let run ?opts ?log ?profiler ?verify ?budget ?engine
-    (b : Programs.Suite.benchmark) level machine =
+let run ?opts ?log ?profiler ?verify ?budget (b : Programs.Suite.benchmark)
+    level machine =
   match opts with
-  | Some _ ->
-    measure ?opts ?log ?profiler ?verify ?budget ?engine b level machine
+  | Some _ -> measure ?opts ?log ?profiler ?verify ?budget b level machine
   | None -> (
     let key = memo_key b level machine in
     (* The lock never spans the measurement itself: a racing miss computes
@@ -271,11 +263,11 @@ let run ?opts ?log ?profiler ?verify ?budget ?engine
     match locked (fun () -> Hashtbl.find_opt memo key) with
     | Some t -> t
     | None ->
-      let t = measure ?log ?profiler ?verify ?budget ?engine b level machine in
+      let t = measure ?log ?profiler ?verify ?budget b level machine in
       locked (fun () -> Hashtbl.replace memo key t);
       t)
 
-let run_adhoc ?opts ?log ?budget ?engine ~name ~source ?(input = "")
+let run_adhoc ?opts ?log ?budget ~name ~source ?(input = "")
     ?expected_output level machine =
   (* Without an expectation, the run is its own reference: [output_ok] is
      forced true and callers compare outputs across levels instead. *)
@@ -289,8 +281,7 @@ let run_adhoc ?opts ?log ?budget ?engine ~name ~source ?(input = "")
       expected_output = Option.value ~default:"" expected_output;
     }
   in
-  run ?opts ?log ?budget ?engine ~verify:(expected_output <> None) b level
-    machine
+  run ?opts ?log ?budget ~verify:(expected_output <> None) b level machine
 
 (* Parallel sweep over (benchmark, level, machine) tasks.  The memo
    table, mismatch/timeout lists and the caller's log stay on this
@@ -301,9 +292,9 @@ let run_adhoc ?opts ?log ?budget ?engine ~name ~source ?(input = "")
    of the sequential sweep, whatever [jobs] is. *)
 let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
     ?trace ?(metrics = Telemetry.Metrics.null) ?(jobs = 1) ?deadline ?retries
-    ?chaos ?engine tasks =
+    ?chaos tasks =
   if jobs <= 1 && deadline = None && chaos = None && trace = None then
-    List.map (fun (b, level, m) -> run ~log ~profiler ?engine b level m) tasks
+    List.map (fun (b, level, m) -> run ~log ~profiler b level m) tasks
   else begin
     let logging = Telemetry.Log.enabled log in
     let profiling = Telemetry.Profiler.enabled profiler in
@@ -333,7 +324,7 @@ let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
             if profiling then Telemetry.Profiler.create ()
             else Telemetry.Profiler.null
           in
-          ( measure_raw ~log:wlog ~profiler:wprof ~budget ?engine b level m,
+          ( measure_raw ~log:wlog ~profiler:wprof ~budget b level m,
             wlog,
             wprof ))
         to_run
@@ -380,9 +371,8 @@ let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
   end
 
 let run_suite ?log ?profiler ?trace ?metrics ?jobs ?deadline ?retries ?chaos
-    ?engine level machine =
+    level machine =
   run_many ?log ?profiler ?trace ?metrics ?jobs ?deadline ?retries ?chaos
-    ?engine
     (List.map (fun b -> (b, level, machine)) Programs.Suite.all)
 
 (* --- JSON rendering (the bench drivers' machine-readable output) --- *)

@@ -51,10 +51,8 @@ val instrs_between_branches : t -> float
     budget raises {!Budget.Exhausted} out of the run rather than
     returning a silently different measurement.
 
-    [engine] selects the execution engine (default
-    {!Sim.Engine.Threaded}).  The engines are observationally
-    equivalent, so the choice never changes a measurement — only how
-    fast it is computed — and the memo is engine-agnostic.
+    Execution runs on {!Sim.Engine.run}, which the test suite holds
+    to the reference oracle {!Sim.Interp.run_reference}.
 
     Thread-safety: the memo and the mismatch/timeout records are
     lock-guarded, so the daemon's resident workers may call the
@@ -65,7 +63,6 @@ val run :
   ?profiler:Telemetry.Profiler.t ->
   ?verify:bool ->
   ?budget:Telemetry.Budget.t ->
-  ?engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
   Ir.Machine.t ->
@@ -82,7 +79,6 @@ val measure_raw :
   ?profiler:Telemetry.Profiler.t ->
   ?verify:bool ->
   ?budget:Telemetry.Budget.t ->
-  ?engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
   Ir.Machine.t ->
@@ -95,7 +91,6 @@ val run_adhoc :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->
   ?budget:Telemetry.Budget.t ->
-  ?engine:Sim.Engine.kind ->
   name:string ->
   source:string ->
   ?input:string ->
@@ -141,7 +136,6 @@ val run_many :
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Pool.chaos ->
-  ?engine:Sim.Engine.kind ->
   (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->
   t list
 
@@ -155,7 +149,6 @@ val run_suite :
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Pool.chaos ->
-  ?engine:Sim.Engine.kind ->
   Opt.Driver.level ->
   Ir.Machine.t ->
   t list

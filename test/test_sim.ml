@@ -82,7 +82,7 @@ let test_functions_disjoint () =
 let test_slot_fill_effectiveness () =
   (* At least some slots are filled with useful instructions, not nops. *)
   let asm, prog = assemble (Option.get (Programs.Suite.find "wc")).source in
-  let res = Sim.Interp.run ~input:"hello world\n" asm prog in
+  let res = Sim.Engine.run ~input:"hello world\n" asm prog in
   Alcotest.(check bool) "some useful slots" true
     (Sim.Asm.static_nops asm < Sim.Asm.static_instrs asm / 4);
   Alcotest.(check bool) "ran" true (res.counts.total > 0)
@@ -143,7 +143,7 @@ let test_runtime_errors () =
       Opt.Driver.compile Opt.Driver.default_options Machine.cisc src
     in
     let asm = Sim.Asm.assemble Machine.cisc prog in
-    match Sim.Interp.run asm prog with
+    match Sim.Engine.run asm prog with
     | exception Sim.Interp.Runtime_error _ -> ()
     | _ -> Alcotest.fail "expected a runtime error"
   in
@@ -157,7 +157,7 @@ let test_runtime_errors () =
       "int main() { for (;;) ; return 0; }"
   in
   let asm = Sim.Asm.assemble Machine.cisc prog in
-  let res = Sim.Interp.run ~max_steps:1000 asm prog in
+  let res = Sim.Engine.run ~max_steps:1000 asm prog in
   Alcotest.(check bool) "timed out" true res.timed_out;
   Alcotest.(check int) "timeout exit code" 124 res.exit_code
 
@@ -196,7 +196,7 @@ let test_fetch_callback () =
   let asm = Sim.Asm.assemble Machine.risc prog in
   let fetches = ref 0 in
   let res =
-    Sim.Interp.run
+    Sim.Engine.run
       ~on_fetch:(fun ~addr:_ ~size -> if size = 4 then incr fetches)
       asm prog
   in
@@ -255,49 +255,49 @@ let check_same_run name (r, rh, rn) (d, dh, dn) =
   Alcotest.(check int) (name ^ " fetch hash") rh dh
 
 let test_engines_match_reference () =
-  (* Every execution engine must be observationally identical to the
+  (* The execution engine must be observationally identical to the
      straightforward reference loop: same output, exit code, timeout
      verdict, per-class counts and per-instruction fetch stream, across
-     the whole benchmark matrix. *)
+     the whole benchmark matrix.  The matrix runs register-allocated
+     code (what measurements execute) and unallocated code (the
+     mid-pipeline RTL the differential pass oracle executes). *)
   List.iter
-    (fun (machine, mname) ->
+    (fun allocate ->
       List.iter
-        (fun level ->
+        (fun (machine, mname) ->
           List.iter
-            (fun (b : Programs.Suite.benchmark) ->
-              let prog =
-                Opt.Driver.compile
-                  { Opt.Driver.default_options with level }
-                  machine b.source
-              in
-              let asm = Sim.Asm.assemble machine prog in
-              let ref_run =
-                trace (fun ~on_fetch ->
-                    Sim.Interp.run_reference ~input:b.input ~on_fetch asm prog)
-              in
+            (fun level ->
               List.iter
-                (fun kind ->
+                (fun (b : Programs.Suite.benchmark) ->
+                  let prog =
+                    Opt.Driver.compile
+                      { Opt.Driver.default_options with level; allocate }
+                      machine b.source
+                  in
+                  let asm = Sim.Asm.assemble machine prog in
                   let name =
-                    Printf.sprintf "%s/%s/%s/%s" b.name
+                    Printf.sprintf "%s/%s/%s%s" b.name
                       (Opt.Driver.level_name level)
                       mname
-                      (Sim.Engine.kind_name kind)
+                      (if allocate then "" else "/unallocated")
                   in
-                  let run = Sim.Engine.select kind in
-                  check_same_run name ref_run
+                  check_same_run name
                     (trace (fun ~on_fetch ->
-                         run ~input:b.input ~on_fetch asm prog)))
-                [ Sim.Engine.Decoded; Sim.Engine.Threaded ])
-            Programs.Suite.all)
-        [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
-    [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
+                         Sim.Interp.run_reference ~input:b.input ~on_fetch asm
+                           prog))
+                    (trace (fun ~on_fetch ->
+                         Sim.Engine.run ~input:b.input ~on_fetch asm prog)))
+                Programs.Suite.all)
+            [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+        [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ])
+    [ true; false ]
 
 let test_engines_match_on_timeout () =
-  (* A step budget that expires mid-superblock must stop the threaded
-     engine at the exact instruction the reference stops at — partial
-     counts, partial output and the fetch-stream prefix are observable
-     in a timed-out measurement.  Sweep max_steps over a range that
-     lands in every phase of the hot loop. *)
+  (* A step budget that expires mid-superblock must stop the engine at
+     the exact instruction the reference stops at — partial counts,
+     partial output and the fetch-stream prefix are observable in a
+     timed-out measurement.  Sweep max_steps over a range that lands in
+     every phase of the hot loop. *)
   let src =
     "int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) s = s + i; \
      return s & 255; }"
@@ -309,25 +309,17 @@ let test_engines_match_on_timeout () =
   in
   let asm = Sim.Asm.assemble Machine.risc prog in
   for max_steps = 1 to 120 do
-    let name = Printf.sprintf "steps=%d" max_steps in
-    let ref_run =
-      trace (fun ~on_fetch ->
-          Sim.Interp.run_reference ~max_steps ~on_fetch asm prog)
-    in
-    List.iter
-      (fun kind ->
-        let run = Sim.Engine.select kind in
-        check_same_run
-          (Printf.sprintf "%s/%s" name (Sim.Engine.kind_name kind))
-          ref_run
-          (trace (fun ~on_fetch -> run ~max_steps ~on_fetch asm prog)))
-      [ Sim.Engine.Decoded; Sim.Engine.Threaded ]
+    check_same_run
+      (Printf.sprintf "steps=%d" max_steps)
+      (trace (fun ~on_fetch ->
+           Sim.Interp.run_reference ~max_steps ~on_fetch asm prog))
+      (trace (fun ~on_fetch -> Sim.Engine.run ~max_steps ~on_fetch asm prog))
   done
 
 let test_engines_match_on_fault () =
   (* A faulting run has no result, but its fetch stream reached the
-     cache simulator as it happened: all engines must have fetched the
-     same exact prefix when the fault fires. *)
+     cache simulator as it happened: the engine must have fetched the
+     same exact prefix as the reference when the fault fires. *)
   let src = "int main() { int x; x = getchar(); return 10 / (x + 1); }" in
   let prog =
     Opt.Driver.compile
@@ -350,16 +342,11 @@ let test_engines_match_on_fault () =
     faulting (fun ~on_fetch ->
         Sim.Interp.run_reference ~input:"" ~on_fetch asm prog)
   in
-  List.iter
-    (fun kind ->
-      let run = Sim.Engine.select kind in
-      let h, n =
-        faulting (fun ~on_fetch -> run ~input:"" ~on_fetch asm prog)
-      in
-      let name = Sim.Engine.kind_name kind in
-      Alcotest.(check int) (name ^ " fetch count") rn n;
-      Alcotest.(check int) (name ^ " fetch hash") rh h)
-    [ Sim.Engine.Decoded; Sim.Engine.Threaded ]
+  let h, n =
+    faulting (fun ~on_fetch -> Sim.Engine.run ~input:"" ~on_fetch asm prog)
+  in
+  Alcotest.(check int) "fetch count" rn n;
+  Alcotest.(check int) "fetch hash" rh h
 
 (* The corpus sweep above checks known programs; this property checks
    arbitrary generated ones, shrinking failures with the fuzz campaign's
@@ -390,18 +377,11 @@ let prop_engines_agree_on_random =
               h,
               n )
           in
-          let reference =
-            observe (fun ~on_fetch ->
+          observe (fun ~on_fetch ->
+              Sim.Engine.run ~max_steps:3_000_000 ~on_fetch asm prog)
+          = observe (fun ~on_fetch ->
                 Sim.Interp.run_reference ~max_steps:3_000_000 ~on_fetch asm
-                  prog)
-          in
-          List.for_all
-            (fun kind ->
-              observe (fun ~on_fetch ->
-                  Sim.Engine.select kind ~max_steps:3_000_000 ~on_fetch asm
-                    prog)
-              = reference)
-            [ Sim.Engine.Decoded; Sim.Engine.Threaded ])
+                  prog))
         [ Machine.risc; Machine.cisc ])
 
 let tests =

@@ -54,10 +54,10 @@ dune exec bench/main.exe -- --json -j 2 > /dev/null
 SWEEP_WALL=$(python3 -c "import time; print(round(time.time() - $SWEEP_T0, 3))")
 tools/bench_compare.sh BENCH_baseline.json BENCH_results.json
 
-echo "== threaded engine sweep byte-identical at -j 1 and -j 4 =="
-dune exec bench/main.exe -- --json -j 1 --engine threaded > /dev/null
+echo "== sweep byte-identical at -j 1 and -j 4 =="
+dune exec bench/main.exe -- --json -j 1 > /dev/null
 cmp BENCH_results.json BENCH_baseline.json
-dune exec bench/main.exe -- --json -j 4 --engine threaded > /dev/null
+dune exec bench/main.exe -- --json -j 4 > /dev/null
 cmp BENCH_results.json BENCH_baseline.json
 
 echo "== campaign: store sweep, kill-and-resume, byte-identity =="
