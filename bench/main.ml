@@ -240,9 +240,11 @@ let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
   in
   Option.iter (fun t -> Telemetry.Trace.process_name t "jumprepc bench") trace;
   (* Pool supervisor tallies land in their own registry, not the sweep
-     log's: the results document's "counters" object must not grow. *)
+     log's: the results document's "counters" object must not grow.  The
+     chaos summary line reads them from here. *)
   let pool_metrics =
-    if profiling || trace <> None then Telemetry.Metrics.create ()
+    if profiling || trace <> None || chaos <> None then
+      Telemetry.Metrics.create ()
     else Telemetry.Metrics.null
   in
   let tasks =
@@ -318,13 +320,15 @@ let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
     Printf.printf "wrote %s (%d trace events)\n" trace_out
       (Telemetry.Trace.events t));
   if chaos <> None then begin
-    let s = Harness.Measure.pool_stats () in
+    let c name = Telemetry.Metrics.counter_value pool_metrics ("pool." ^ name) in
+    let crashes = c "injected_crashes"
+    and hangs = c "injected_hangs"
+    and allocs = c "injected_allocs" in
     Printf.printf
       "chaos: %d faults injected (%d crashes, %d hangs, %d allocs), %d \
        retries, %d respawns, %d abandoned\n"
-      (Harness.Pool.injected s) s.Harness.Pool.injected_crashes
-      s.Harness.Pool.injected_hangs s.Harness.Pool.injected_allocs
-      s.Harness.Pool.retried s.Harness.Pool.respawned s.Harness.Pool.abandoned
+      (crashes + hangs + allocs) crashes hangs allocs (c "retried")
+      (c "respawned") (c "abandoned")
   end
 
 (* --- campaign mode: the sweep against a content-addressed store --- *)

@@ -154,37 +154,6 @@ let row_of_measure ~cached (b : Programs.Suite.benchmark) level
     r_cached = cached;
   }
 
-let failure_of_outcome (b : Programs.Suite.benchmark) level
-    (machine : Ir.Machine.t) = function
-  | Pool.Done _ -> None
-  | Pool.Crashed { exn; backtrace; attempts } ->
-    let detail =
-      match String.trim backtrace with
-      | "" -> Printexc.to_string exn
-      | bt -> Printexc.to_string exn ^ " | " ^ bt
-    in
-    Some
-      {
-        Measure.f_program = b.name;
-        f_level = level;
-        f_machine = machine.Ir.Machine.short;
-        f_kind = "crashed";
-        f_detail = detail;
-        f_attempts = attempts;
-        f_elapsed = 0.;
-      }
-  | Pool.Timed_out { elapsed; attempts } ->
-    Some
-      {
-        Measure.f_program = b.name;
-        f_level = level;
-        f_machine = machine.Ir.Machine.short;
-        f_kind = "timed-out";
-        f_detail = Printf.sprintf "deadline expired after %.2fs" elapsed;
-        f_attempts = attempts;
-        f_elapsed = elapsed;
-      }
-
 let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
     ?(retries = 2) ?chaos ?(log = Log.null) tasks =
   let keyed =
@@ -306,7 +275,7 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
       | (Pool.Crashed _ | Pool.Timed_out _) as o ->
         Option.iter
           (fun f -> failures := f :: !failures)
-          (failure_of_outcome b level mach o))
+          (Measure.failure_of_outcome b level mach o))
     to_run outcomes;
   (* Final rows in task order — failed tasks are simply absent, as in a
      cold sweep.  Counter replay: stored and fresh deltas sum in the

@@ -78,8 +78,33 @@ type task_failure = {
 let task_failed : task_failure list ref = ref []
 let task_failures () = locked (fun () -> List.rev !task_failed)
 
-let last_pool_stats = ref Pool.no_stats
-let pool_stats () = !last_pool_stats
+let failure_of_outcome (b : Programs.Suite.benchmark) level
+    (machine : Ir.Machine.t) outcome =
+  let failure ~kind ~detail ~attempts ~elapsed =
+    Some
+      {
+        f_program = b.name;
+        f_level = level;
+        f_machine = machine.Ir.Machine.short;
+        f_kind = kind;
+        f_detail = detail;
+        f_attempts = attempts;
+        f_elapsed = elapsed;
+      }
+  in
+  match outcome with
+  | Pool.Done _ -> None
+  | Pool.Crashed { exn; backtrace; attempts } ->
+    let detail =
+      match String.trim backtrace with
+      | "" -> Printexc.to_string exn
+      | bt -> Printexc.to_string exn ^ " | " ^ bt
+    in
+    failure ~kind:"crashed" ~detail ~attempts ~elapsed:0.
+  | Pool.Timed_out { elapsed; attempts } ->
+    failure ~kind:"timed-out"
+      ~detail:(Printf.sprintf "deadline expired after %.2fs" elapsed)
+      ~attempts ~elapsed
 
 let failure_to_json f =
   Printf.sprintf
@@ -92,30 +117,18 @@ let failure_to_json f =
     (Telemetry.Log.json_string f.f_detail)
     f.f_attempts f.f_elapsed
 
-let record_task_failure log ~kind ~detail ~attempts ~elapsed
-    (b : Programs.Suite.benchmark) level (machine : Ir.Machine.t) =
-  locked (fun () ->
-      task_failed :=
-        {
-          f_program = b.name;
-          f_level = level;
-          f_machine = machine.Ir.Machine.short;
-          f_kind = kind;
-          f_detail = detail;
-          f_attempts = attempts;
-          f_elapsed = elapsed;
-        }
-        :: !task_failed);
+let record_task_failure log f =
+  locked (fun () -> task_failed := f :: !task_failed);
   Telemetry.Log.emit log (fun () ->
       Telemetry.Log.Warning
         {
           message =
             Printf.sprintf "%s at %s on %s: task %s after %d attempt%s (%s)"
-              b.name
-              (Opt.Driver.level_name level)
-              machine.Ir.Machine.short kind attempts
-              (if attempts = 1 then "" else "s")
-              detail;
+              f.f_program
+              (Opt.Driver.level_name f.f_level)
+              f.f_machine f.f_kind f.f_attempts
+              (if f.f_attempts = 1 then "" else "s")
+              f.f_detail;
         })
 
 let record_mismatch log (m : t) ~expected =
@@ -329,7 +342,6 @@ let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
             wprof ))
         to_run
     in
-    last_pool_stats := stats;
     Pool.stats_to_metrics stats metrics;
     List.iter2
       (fun (b, level, machine) outcome ->
@@ -349,18 +361,9 @@ let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
           if profiling then Telemetry.Profiler.merge ~into:profiler wprof;
           record log b res;
           locked (fun () -> Hashtbl.replace memo (memo_key b level machine) res)
-        | Pool.Crashed { exn; backtrace; attempts } ->
-          let detail =
-            match String.trim backtrace with
-            | "" -> Printexc.to_string exn
-            | bt -> Printexc.to_string exn ^ " | " ^ bt
-          in
-          record_task_failure log ~kind:"crashed" ~detail ~attempts
-            ~elapsed:0. b level machine
-        | Pool.Timed_out { elapsed; attempts } ->
-          record_task_failure log ~kind:"timed-out"
-            ~detail:(Printf.sprintf "deadline expired after %.2fs" elapsed)
-            ~attempts ~elapsed b level machine)
+        | (Pool.Crashed _ | Pool.Timed_out _) as o ->
+          Option.iter (record_task_failure log)
+            (failure_of_outcome b level machine o))
       to_run outcomes;
     (* Failed tasks have no measurement: the sweep's result list simply
        omits them (callers consult [task_failures] for the rest). *)

@@ -183,8 +183,15 @@ val task_failures : unit -> task_failure list
 (** One JSON object (no newline) for a ["failures"] array entry. *)
 val failure_to_json : task_failure -> string
 
-(** Supervisor statistics of the most recent supervised {!run_many}. *)
-val pool_stats : unit -> Pool.stats
+(** The failure record of a supervised task's outcome: [None] for
+    [Done], else the crash (exception text plus backtrace) or the expired
+    deadline. *)
+val failure_of_outcome :
+  Programs.Suite.benchmark ->
+  Opt.Driver.level ->
+  Ir.Machine.t ->
+  _ Pool.outcome ->
+  task_failure option
 
 (** One JSON object (no newline) with every field of [t], cache stats
     included — the building block of the bench drivers' [BENCH_*.json]. *)

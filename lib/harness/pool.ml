@@ -1,18 +1,21 @@
 (* A supervised fixed-size Domain worker pool.
 
-   Each work item runs as a sequence of *attempts* on worker domains under
-   a fresh cancellable Budget.  The calling domain never runs tasks: it is
-   the supervisor, polling worker slots every millisecond to deliver
-   results, detect dead workers (and respawn them), enforce the per-task
-   deadline (cooperative cancellation through the budget, then
-   abandon-and-reschedule after a 2x grace period), and feed retries back
+   Each work item runs as a sequence of *attempts* under a fresh
+   cancellable Budget.  [Service] is the supervisor: resident worker
+   domains run the attempts while whoever drives its [tick] delivers
+   results, detects dead workers (and respawns them), enforces the
+   per-task deadline (cooperative cancellation through the budget, then
+   abandon-and-reschedule after a 2x grace period), and feeds retries back
    into the queue on a deterministic capped-exponential backoff.
+   [supervise] is a batch over it: inline on the calling domain for one
+   job, else a fresh [Service] ticked every millisecond until the last
+   item lands.
 
    Determinism: the schedule is whichever domain gets there first, but
-   results land in an index-ordered array and fault injection is a pure
-   function of (seed, task index, attempt) — so the outcome of every task
-   that completes is identical to what a sequential run produces, no
-   matter the job count. *)
+   results land in input order and fault injection is a pure function of
+   (seed, task index, attempt) — so the outcome of every task that
+   completes is identical to what a sequential run produces, no matter
+   the job count. *)
 
 module Budget = Telemetry.Budget
 
@@ -170,443 +173,120 @@ let chaos_of_string s =
   in
   go { crash = 0.; hang = 0.; alloc = 0.; chaos_seed = 1 } parts
 
-(* --- the supervisor --- *)
+(* --- one attempt --- *)
 
 (* How one attempt failed: a raised exception, or a deadline/cancellation
    (the only two final outcomes besides success). *)
 type failure = F_crash of exn * string | F_timeout of float
 
-type running = {
-  r_task : int;
-  r_attempt : int;
-  r_start : float;
-  r_budget : Budget.t;
+let outcome_of_failure fl attempts =
+  match fl with
+  | F_crash (exn, backtrace) -> Crashed { exn; backtrace; attempts }
+  | F_timeout elapsed -> Timed_out { elapsed; attempts }
+
+(* Chaos tallies, bumped by whichever domain runs the attempt. *)
+type injections = {
+  crashes : int Atomic.t;
+  hangs : int Atomic.t;
+  allocs : int Atomic.t;
 }
 
-(* One worker slot.  [st] is written under the pool mutex by both the
-   worker (Busy/Idle/Exited/Died transitions) and never by the parent;
-   [retire] tells a worker abandoned by the watchdog not to take more
-   work if it ever returns from its stuck attempt.  [tid] is the slot's
-   stable trace lane: a respawned replacement inherits the dead worker's
-   lane, so a trace shows one timeline per logical worker. *)
-type slot_state =
-  | Idle
-  | Busy of running
-  | Exited
-  | Died of running option * exn * string
+let new_injections () =
+  { crashes = Atomic.make 0; hangs = Atomic.make 0; allocs = Atomic.make 0 }
 
-type slot = {
-  mutable st : slot_state;
-  mutable dom : unit Domain.t option;
-  mutable retire : bool;
-  tid : int;
-}
+let injected_stats inj =
+  {
+    no_stats with
+    injected_crashes = Atomic.get inj.crashes;
+    injected_hangs = Atomic.get inj.hangs;
+    injected_allocs = Atomic.get inj.allocs;
+  }
 
-let supervise ?(jobs = 1) ?deadline ?(retries = 2) ?(backoff_base = 0.05)
-    ?chaos ?trace ?label f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
-  (* Trace plumbing: every record is a no-op without [trace].  Worker
-     spans carry the task's label; supervisor decisions land as instant
-     events on lane 0. *)
-  let task_label =
-    match label with
-    | Some l -> fun i -> l items.(i)
-    | None -> fun i -> Printf.sprintf "task-%d" i
-  in
-  let tr g = match trace with Some t -> g t | None -> () in
-  let span_attempt tid i attempt body =
-    match trace with
-    | None -> body ()
-    | Some t ->
-      Telemetry.Trace.with_span t ~tid ~cat:"task"
-        ~args:[ ("attempt", Telemetry.Json.Int attempt) ]
-        (task_label i) body
-  in
-  let chaos_instant tid kind =
-    tr (fun t ->
-        Telemetry.Trace.instant t ~tid ~cat:"chaos"
-          (Printf.sprintf "chaos-%s" kind))
-  in
-  tr (fun t ->
+(* Injected hangs spin until released, interrupted, or this cap — they
+   must never outlive the supervisor's bounded shutdown. *)
+let hang_cap = function Some d -> 4. *. d | None -> 2.0
+
+(* ~64MB of short-lived garbage: memory pressure that must not change
+   the task's result. *)
+let alloc_storm () =
+  for _ = 1 to 64 do
+    ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
+  done
+
+let name_lanes trace jobs =
+  Option.iter
+    (fun t ->
       Telemetry.Trace.thread_name t ~tid:0 "supervisor";
       for k = 1 to jobs do
         Telemetry.Trace.thread_name t ~tid:k (Printf.sprintf "worker-%d" k)
-      done);
-  let inj_crashes = Atomic.make 0 in
-  let inj_hangs = Atomic.make 0 in
-  let inj_allocs = Atomic.make 0 in
-  let retried = ref 0 in
-  let respawned = ref 0 in
-  let abandoned = ref 0 in
-  (* Injected hangs spin until released, interrupted, or this cap — they
-     must never outlive the supervisor's bounded shutdown. *)
-  let hang_cap = match deadline with Some d -> 4. *. d | None -> 2.0 in
-  let release = Atomic.make false in
-  let fault i attempt =
-    match chaos with
-    | None -> None
-    | Some c -> chaos_fault c ~task:i ~attempt
-  in
-  (* ~64MB of short-lived garbage: memory pressure that must not change
-     the task's result. *)
-  let alloc_storm () =
-    for _ = 1 to 64 do
-      ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
-    done
-  in
-  let stats () =
-    {
-      injected_crashes = Atomic.get inj_crashes;
-      injected_hangs = Atomic.get inj_hangs;
-      injected_allocs = Atomic.get inj_allocs;
-      retried = !retried;
-      respawned = !respawned;
-      abandoned = !abandoned;
-    }
-  in
-  if jobs = 1 then begin
-    (* Inline path: same attempt/fault/backoff schedule, no domains.  An
-       injected hang is charged as a timed-out attempt without actually
-       spinning — nothing else could make progress meanwhile. *)
-    let run_task i x =
-      let rec go attempt =
-        let budget = Budget.make ?deadline () in
-        let started = Unix.gettimeofday () in
-        let res =
-          span_attempt 1 i attempt (fun () ->
-              match fault i attempt with
-              | Some `Crash ->
-                Atomic.incr inj_crashes;
-                chaos_instant 1 "crash";
-                Error (F_crash (Chaos_crash, ""))
-              | Some `Hang ->
-                Atomic.incr inj_hangs;
-                chaos_instant 1 "hang";
-                Error (F_timeout (Option.value deadline ~default:0.))
-              | (Some `Alloc | None) as fl -> (
-                if fl <> None then begin
-                  Atomic.incr inj_allocs;
-                  chaos_instant 1 "alloc";
-                  alloc_storm ()
-                end;
-                match f budget x with
-                | v -> Ok v
-                | exception Budget.Exhausted _ ->
-                  Error (F_timeout (Unix.gettimeofday () -. started))
-                | exception e -> Error (F_crash (e, Printexc.get_backtrace ()))))
-        in
-        match res with
-        | Ok v -> Done v
-        | Error fl ->
-          if attempt <= retries then begin
-            incr retried;
-            tr (fun t ->
-                Telemetry.Trace.instant t ~tid:0
-                  ~args:
-                    [
-                      ("task", Telemetry.Json.Str (task_label i));
-                      ("attempt", Telemetry.Json.Int attempt);
-                    ]
-                  "task-retry");
-            Unix.sleepf (backoff ~base:backoff_base attempt);
-            go (attempt + 1)
-          end
-          else (
-            match fl with
-            | F_crash (exn, backtrace) ->
-              Crashed { exn; backtrace; attempts = attempt }
-            | F_timeout elapsed -> Timed_out { elapsed; attempts = attempt })
-      in
-      go 1
-    in
-    let results = Array.mapi run_task items in
-    (Array.to_list results, stats ())
-  end
-  else begin
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    let pending : (int * int) Queue.t = Queue.create () in
-    let reports = Queue.create () in
-    let delayed = ref [] in
-    let quit = ref false in
-    let results = Array.make n None in
-    let latest = Array.make n 1 in
-    let remaining = ref n in
-    let run_attempt slot i attempt =
-      let budget = Budget.make ?deadline () in
-      let started = Unix.gettimeofday () in
-      Mutex.lock mu;
-      slot.st <-
-        Busy
-          { r_task = i; r_attempt = attempt; r_start = started; r_budget = budget };
-      Mutex.unlock mu;
-      let res =
-        span_attempt slot.tid i attempt (fun () ->
-            match fault i attempt with
-            | Some `Crash ->
-              Atomic.incr inj_crashes;
-              chaos_instant slot.tid "crash";
-              (* Unwinds the whole worker function: the domain dies, which is
-                 exactly the failure the supervisor's death detection and
-                 respawn exist for. *)
-              raise Chaos_crash
-            | Some `Hang ->
-              Atomic.incr inj_hangs;
-              chaos_instant slot.tid "hang";
-              (* A busy-wait that still polls (cpu_relax keeps the domain a
-                 GC-friendly citizen) and honors cooperative cancellation. *)
-              while
-                (not (Atomic.get release))
-                && (not (Budget.interrupted budget))
-                && Unix.gettimeofday () -. started < hang_cap
-              do
-                Domain.cpu_relax ()
-              done;
-              Error (F_timeout (Unix.gettimeofday () -. started))
-            | (Some `Alloc | None) as fl -> (
-              if fl <> None then begin
-                Atomic.incr inj_allocs;
-                chaos_instant slot.tid "alloc";
-                alloc_storm ()
-              end;
-              match f budget items.(i) with
-              | v -> Ok v
-              | exception Budget.Exhausted _ ->
-                Error (F_timeout (Unix.gettimeofday () -. started))
-              | exception e -> Error (F_crash (e, Printexc.get_backtrace ()))))
-      in
-      Mutex.lock mu;
-      slot.st <- Idle;
-      Queue.push (i, attempt, res) reports;
-      Mutex.unlock mu
-    in
-    let rec worker_loop slot =
-      Mutex.lock mu;
-      let rec next () =
-        if !quit || slot.retire then None
-        else if Queue.is_empty pending then begin
-          Condition.wait cond mu;
-          next ()
-        end
-        else Some (Queue.pop pending)
-      in
-      let job = next () in
-      Mutex.unlock mu;
-      match job with
-      | None -> ()
-      | Some (i, attempt) ->
-        run_attempt slot i attempt;
-        worker_loop slot
-    in
-    let worker slot () =
-      match worker_loop slot with
-      | () ->
-        Mutex.lock mu;
-        slot.st <- Exited;
-        Mutex.unlock mu
-      | exception e ->
-        let bt = Printexc.get_backtrace () in
-        Mutex.lock mu;
-        let running = match slot.st with Busy r -> Some r | _ -> None in
-        slot.st <- Died (running, e, bt);
-        Mutex.unlock mu
-    in
-    let spawn_slot tid =
-      let slot = { st = Idle; dom = None; retire = false; tid } in
-      slot.dom <- Some (Domain.spawn (worker slot));
-      slot
-    in
-    let slots = ref (List.init jobs (fun k -> spawn_slot (k + 1))) in
-    let zombies = ref [] in
-    (* Lanes of dead/abandoned slots, recycled by the respawn loop so a
-       replacement worker continues its predecessor's trace timeline. *)
-    let free_tids = ref [] in
-    (* All three run under [mu]. *)
-    let finalize i outcome =
-      if results.(i) = None then begin
-        results.(i) <- Some outcome;
-        decr remaining
-      end
-    in
-    let handle_failure now i attempt fl =
-      (* Failures of superseded attempts are ignored: the newer attempt
-         owns the task's fate.  A stale success still delivers (handled
-         by the caller), since the task function is deterministic. *)
-      if results.(i) = None && attempt >= latest.(i) then begin
-        if attempt <= retries then begin
-          incr retried;
-          tr (fun t ->
-              Telemetry.Trace.instant t ~tid:0
-                ~args:
-                  [
-                    ("task", Telemetry.Json.Str (task_label i));
-                    ("attempt", Telemetry.Json.Int attempt);
-                  ]
-                "task-retry");
-          latest.(i) <- attempt + 1;
-          delayed :=
-            (now +. backoff ~base:backoff_base attempt, i, attempt + 1)
-            :: !delayed
-        end
-        else
-          finalize i
-            (match fl with
-            | F_crash (exn, backtrace) ->
-              Crashed { exn; backtrace; attempts = attempt }
-            | F_timeout elapsed -> Timed_out { elapsed; attempts = attempt })
-      end
-    in
-    (* Seed attempt 1 of every task. *)
-    Mutex.lock mu;
-    Array.iteri (fun i _ -> Queue.push (i, 1) pending) items;
-    Condition.broadcast cond;
-    Mutex.unlock mu;
-    (* The supervisor tick. *)
-    while !remaining > 0 do
-      let to_join = ref [] in
-      Mutex.lock mu;
-      let now = Unix.gettimeofday () in
-      while not (Queue.is_empty reports) do
-        let i, attempt, res = Queue.pop reports in
-        match res with
-        | Ok v -> finalize i (Done v)
-        | Error fl -> handle_failure now i attempt fl
-      done;
-      let keep =
-        List.filter
-          (fun slot ->
-            match slot.st with
-            | Died (running, exn, bt) ->
-              tr (fun t ->
-                  Telemetry.Trace.instant t ~tid:0
-                    ~args:[ ("worker", Telemetry.Json.Int slot.tid) ]
-                    "worker-died");
-              Option.iter
-                (fun r -> handle_failure now r.r_task r.r_attempt (F_crash (exn, bt)))
-                running;
-              Option.iter (fun d -> to_join := d :: !to_join) slot.dom;
-              free_tids := slot.tid :: !free_tids;
-              false
-            | Busy r -> (
-              match deadline with
-              | Some d when now -. r.r_start > 2. *. d ->
-                (* Past the cooperative-cancellation grace period: the
-                   attempt is not responding.  Abandon the worker (it is
-                   told to retire if it ever comes back) and give the
-                   task a fresh domain. *)
-                incr abandoned;
-                tr (fun t ->
-                    Telemetry.Trace.instant t ~tid:0
-                      ~args:
-                        [
-                          ("worker", Telemetry.Json.Int slot.tid);
-                          ("task", Telemetry.Json.Str (task_label r.r_task));
-                        ]
-                      "deadline-abandon");
-                Budget.cancel r.r_budget;
-                handle_failure now r.r_task r.r_attempt
-                  (F_timeout (now -. r.r_start));
-                slot.retire <- true;
-                zombies := slot :: !zombies;
-                free_tids := slot.tid :: !free_tids;
-                false
-              | Some d when now -. r.r_start > d ->
-                if not (Budget.interrupted r.r_budget) then
-                  tr (fun t ->
-                      Telemetry.Trace.instant t ~tid:0
-                        ~args:
-                          [
-                            ("worker", Telemetry.Json.Int slot.tid);
-                            ("task", Telemetry.Json.Str (task_label r.r_task));
-                          ]
-                        "deadline-cancel");
-                Budget.cancel r.r_budget;
-                true
-              | _ -> true)
-            | Idle | Exited -> true)
-          !slots
-      in
-      slots := keep;
-      let ready, not_ready =
-        List.partition (fun (t, _, _) -> t <= now) !delayed
-      in
-      delayed := not_ready;
-      List.iter (fun (_, i, attempt) -> Queue.push (i, attempt) pending) ready;
-      if not (Queue.is_empty pending) then Condition.broadcast cond;
-      let live = List.length !slots in
-      Mutex.unlock mu;
-      List.iter Domain.join !to_join;
-      if !remaining > 0 then begin
-        for _ = 1 to jobs - live do
-          incr respawned;
-          let tid =
-            match !free_tids with
-            | t :: rest ->
-              free_tids := rest;
-              t
-            | [] -> jobs + !respawned (* fresh lane; should not happen *)
-          in
-          tr (fun t ->
-              Telemetry.Trace.instant t ~tid:0
-                ~args:[ ("worker", Telemetry.Json.Int tid) ]
-                "worker-respawn");
-          slots := spawn_slot tid :: !slots
-        done;
-        Unix.sleepf 0.001
-      end
-    done;
-    (* Shutdown: wake everything, cancel stale attempts, then a bounded
-       wait — a worker wedged in a non-cooperative task cannot be killed,
-       so after the grace period it is simply left behind rather than
-       wedging the join. *)
-    Mutex.lock mu;
-    quit := true;
-    Atomic.set release true;
-    List.iter
-      (fun s -> match s.st with Busy r -> Budget.cancel r.r_budget | _ -> ())
-      (!slots @ !zombies);
-    Condition.broadcast cond;
-    Mutex.unlock mu;
-    let finished s =
-      Mutex.lock mu;
-      let r = match s.st with Exited | Died _ -> true | Idle | Busy _ -> false in
-      Mutex.unlock mu;
-      r
-    in
-    let all = !slots @ !zombies in
-    let give_up = Unix.gettimeofday () +. Float.max 1.0 hang_cap in
-    let rec drain waiting =
-      let still = List.filter (fun s -> not (finished s)) waiting in
-      if still = [] || Unix.gettimeofday () > give_up then still
-      else begin
-        Unix.sleepf 0.001;
-        drain still
-      end
-    in
-    let stragglers = drain all in
-    List.iter
-      (fun s ->
-        if not (List.memq s stragglers) then Option.iter Domain.join s.dom)
-      all;
-    let outcomes =
-      Array.to_list
-        (Array.map (function Some o -> o | None -> assert false) results)
-    in
-    (outcomes, stats ())
-  end
+      done)
+    trace
 
-(* --- persistent supervised service (the daemon's scheduler) --- *)
+let retry_instant trace label attempt =
+  Option.iter
+    (fun t ->
+      Telemetry.Trace.instant t ~tid:0
+        ~args:
+          [
+            ("task", Telemetry.Json.Str label);
+            ("attempt", Telemetry.Json.Int attempt);
+          ]
+        "task-retry")
+    trace
 
-(* [supervise] is a batch API: it owns the calling domain until the last
-   task lands.  A long-running server needs the same fault isolation —
-   worker domains, respawn, deadlines, retries, deterministic chaos —
-   with tasks arriving one at a time and the supervisor tick driven from
-   the server's own event loop.  [Service] is that shape: [submit] hands
-   a task to resident workers, [tick] is one non-blocking supervisor
-   pass (call it from the event loop), [poll] reads a task's structured
-   outcome, [shutdown] is the bounded join.
+(* One attempt of a task: draw its chaos fault from the pure (seed, [seq],
+   attempt) schedule, tally and trace the fault, run [f] under [budget]
+   and classify how it ended.  The inline path and the service's worker
+   domains differ only in what an injected fault does to the running
+   domain, so they pass it in: [crash] yields the attempt's result (or
+   raises to kill a worker), [hang] returns the seconds the hang took. *)
+let try_attempt inj ~trace ~tid ~label ~chaos ~seq ~attempt ~started ~crash
+    ~hang f budget =
+  let chaos_instant kind =
+    Option.iter
+      (fun t ->
+        Telemetry.Trace.instant t ~tid ~cat:"chaos"
+          (Printf.sprintf "chaos-%s" kind))
+      trace
+  in
+  let body () =
+    match Option.bind chaos (fun c -> chaos_fault c ~task:seq ~attempt) with
+    | Some `Crash ->
+      Atomic.incr inj.crashes;
+      chaos_instant "crash";
+      crash ()
+    | Some `Hang ->
+      Atomic.incr inj.hangs;
+      chaos_instant "hang";
+      Error (F_timeout (hang ()))
+    | (Some `Alloc | None) as fault -> (
+      if fault <> None then begin
+        Atomic.incr inj.allocs;
+        chaos_instant "alloc";
+        alloc_storm ()
+      end;
+      match f budget with
+      | v -> Ok v
+      | exception Budget.Exhausted _ ->
+        Error (F_timeout (Unix.gettimeofday () -. started))
+      | exception e -> Error (F_crash (e, Printexc.get_backtrace ())))
+  in
+  match trace with
+  | None -> body ()
+  | Some t ->
+    Telemetry.Trace.with_span t ~tid ~cat:"task"
+      ~args:[ ("attempt", Telemetry.Json.Int attempt) ]
+      label body
+
+(* --- the supervisor --- *)
+
+(* [Service] is the one multi-domain supervisor: [submit] hands a task to
+   resident worker domains, [tick] is one non-blocking supervisor pass
+   (deliver failed attempts, detect dead workers and respawn them,
+   enforce deadlines, release due retries), [poll] reads a task's
+   structured outcome, [shutdown] is the bounded join.  The daemon drives
+   [tick] from its select loop; [supervise] below drives it to completion
+   over a batch.
 
    Every handle write happens under the service mutex; a task function
    runs on a worker domain and stores its own [Done] result, while
@@ -634,12 +314,18 @@ module Service = struct
     q_budget : Budget.t;
   }
 
+  (* One worker slot's state, written under [mu] by the worker itself
+     (busy/idle/exited/died transitions), never by the supervisor. *)
   type sstate =
     | S_idle
     | S_busy of trunning
     | S_exited
     | S_died of trunning option * exn * string
 
+  (* [s_retire] tells a worker abandoned by the watchdog not to take more
+     work if it ever returns from its stuck attempt.  [s_tid] is the
+     slot's stable trace lane: a respawned replacement inherits the dead
+     worker's lane, so a trace shows one timeline per logical worker. *)
   type sslot = {
     mutable s_st : sstate;
     mutable s_dom : unit Domain.t option;
@@ -659,14 +345,10 @@ module Service = struct
     mutable free_tids : int list;
     mutable quit : bool;
     release : bool Atomic.t;
-    mutable seq : int;
     mutable in_flight : int;
     mutable submitted : int;
-    backoff_base : float;
     trace : Telemetry.Trace.t option;
-    inj_crashes : int Atomic.t;
-    inj_hangs : int Atomic.t;
-    inj_allocs : int Atomic.t;
+    inj : injections;
     mutable s_retried : int;
     mutable s_respawned : int;
     mutable s_abandoned : int;
@@ -676,15 +358,11 @@ module Service = struct
 
   let tr svc g = match svc.trace with Some t -> g t | None -> ()
 
-  let alloc_storm () =
-    for _ = 1 to 64 do
-      ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
-    done
-
-  (* One attempt on a worker domain.  The chaos fault schedule is the
-     supervise one: a pure function of (seed, submission sequence number,
-     attempt).  An injected crash unwinds the worker — domain death and
-     respawn are exactly the failure mode being drilled. *)
+  (* One attempt on a worker domain.  An injected crash unwinds the whole
+     worker function: the domain dies, which is exactly the failure the
+     supervisor's death detection and respawn exist for.  An injected
+     hang is a busy-wait that still polls (cpu_relax keeps the domain a
+     GC-friendly citizen) and honors cooperative cancellation. *)
   let run_attempt svc slot task attempt =
     let budget = Budget.make ?deadline:task.t_deadline () in
     let started = Unix.gettimeofday () in
@@ -692,53 +370,21 @@ module Service = struct
     slot.s_st <-
       S_busy { q_task = task; q_attempt = attempt; q_start = started; q_budget = budget };
     Mutex.unlock svc.mu;
-    let hang_cap =
-      match task.t_deadline with Some d -> 4. *. d | None -> 2.0
-    in
-    let body () =
-      let fault =
-        match task.t_chaos with
-        | None -> None
-        | Some c -> chaos_fault c ~task:task.t_seq ~attempt
-      in
-      match fault with
-      | Some `Crash ->
-        Atomic.incr svc.inj_crashes;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-crash");
-        raise Chaos_crash
-      | Some `Hang ->
-        Atomic.incr svc.inj_hangs;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-hang");
-        while
-          (not (Atomic.get svc.release))
-          && (not (Budget.interrupted budget))
-          && Unix.gettimeofday () -. started < hang_cap
-        do
-          Domain.cpu_relax ()
-        done;
-        Error (F_timeout (Unix.gettimeofday () -. started))
-      | (Some `Alloc | None) as fl -> (
-        if fl <> None then begin
-          Atomic.incr svc.inj_allocs;
-          tr svc (fun t ->
-              Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-alloc");
-          alloc_storm ()
-        end;
-        match task.t_fn budget with
-        | () -> Ok ()
-        | exception Budget.Exhausted _ ->
-          Error (F_timeout (Unix.gettimeofday () -. started))
-        | exception e -> Error (F_crash (e, Printexc.get_backtrace ())))
-    in
+    let cap = hang_cap task.t_deadline in
     let res =
-      match svc.trace with
-      | None -> body ()
-      | Some t ->
-        Telemetry.Trace.with_span t ~tid:slot.s_tid ~cat:"request"
-          ~args:[ ("attempt", Telemetry.Json.Int attempt) ]
-          task.t_label body
+      try_attempt svc.inj ~trace:svc.trace ~tid:slot.s_tid ~label:task.t_label
+        ~chaos:task.t_chaos ~seq:task.t_seq ~attempt ~started
+        ~crash:(fun () -> raise Chaos_crash)
+        ~hang:(fun () ->
+          while
+            (not (Atomic.get svc.release))
+            && (not (Budget.interrupted budget))
+            && Unix.gettimeofday () -. started < cap
+          do
+            Domain.cpu_relax ()
+          done;
+          Unix.gettimeofday () -. started)
+        task.t_fn budget
     in
     Mutex.lock svc.mu;
     slot.s_st <- S_idle;
@@ -796,34 +442,22 @@ module Service = struct
         free_tids = [];
         quit = false;
         release = Atomic.make false;
-        seq = 0;
         in_flight = 0;
         submitted = 0;
-        backoff_base = 0.05;
         trace;
-        inj_crashes = Atomic.make 0;
-        inj_hangs = Atomic.make 0;
-        inj_allocs = Atomic.make 0;
+        inj = new_injections ();
         s_retried = 0;
         s_respawned = 0;
         s_abandoned = 0;
       }
     in
-    (match trace with
-    | Some t ->
-      Telemetry.Trace.thread_name t ~tid:0 "supervisor";
-      for k = 1 to jobs do
-        Telemetry.Trace.thread_name t ~tid:k (Printf.sprintf "worker-%d" k)
-      done
-    | None -> ());
+    name_lanes trace jobs;
     svc.slots <- List.init jobs (fun k -> spawn_slot svc (k + 1));
     svc
 
   let stats svc =
     {
-      injected_crashes = Atomic.get svc.inj_crashes;
-      injected_hangs = Atomic.get svc.inj_hangs;
-      injected_allocs = Atomic.get svc.inj_allocs;
+      (injected_stats svc.inj) with
       retried = svc.s_retried;
       respawned = svc.s_respawned;
       abandoned = svc.s_abandoned;
@@ -858,10 +492,11 @@ module Service = struct
       Mutex.unlock svc.mu;
       invalid_arg "Pool.Service.submit: service is shut down"
     end;
-    svc.seq <- svc.seq + 1;
+    (* Submissions number from 0, so a fresh service's submission [i] is
+       [supervise]'s item [i] and draws the inline path's chaos faults. *)
+    let seq = svc.submitted in
+    svc.submitted <- seq + 1;
     svc.in_flight <- svc.in_flight + 1;
-    svc.submitted <- svc.submitted + 1;
-    let seq = svc.seq in
     (* Finalization is once-only: a stale attempt completing after an
        abandonment (or after the retry that superseded it) finds the
        handle already written and leaves it alone — the task function is
@@ -884,12 +519,7 @@ module Service = struct
             Mutex.lock svc.mu;
             finalize (Done v);
             Mutex.unlock svc.mu);
-        t_fail =
-          (fun fl attempts ->
-            finalize
-              (match fl with
-              | F_crash (exn, backtrace) -> Crashed { exn; backtrace; attempts }
-              | F_timeout elapsed -> Timed_out { elapsed; attempts }));
+        t_fail = (fun fl attempts -> finalize (outcome_of_failure fl attempts));
         t_finalized = (fun () -> h.h_out <> None);
         t_deadline = deadline;
         t_retries = retries;
@@ -908,31 +538,24 @@ module Service = struct
     Mutex.unlock svc.mu;
     o
 
-  (* Retry/finalize bookkeeping for a failed attempt; caller holds [mu]. *)
+  (* Retry/finalize bookkeeping for a failed attempt; caller holds [mu].
+     Failures of superseded attempts are ignored: the newer attempt owns
+     the task's fate. *)
   let handle_failure svc now task attempt fl =
     if (not (task.t_finalized ())) && attempt >= task.t_latest then begin
       if attempt <= task.t_retries then begin
         svc.s_retried <- svc.s_retried + 1;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:0
-              ~args:
-                [
-                  ("task", Telemetry.Json.Str task.t_label);
-                  ("attempt", Telemetry.Json.Int attempt);
-                ]
-              "task-retry");
+        retry_instant svc.trace task.t_label attempt;
         task.t_latest <- attempt + 1;
-        svc.delayed <-
-          (now +. backoff ~base:svc.backoff_base attempt, task, attempt + 1)
-          :: svc.delayed
+        svc.delayed <- (now +. backoff attempt, task, attempt + 1) :: svc.delayed
       end
       else task.t_fail fl attempt
     end
 
   (* One supervisor pass: deliver reports, detect dead workers, enforce
-     deadlines, release due retries, respawn.  Non-blocking — the server
-     calls this from its select loop. *)
-  let tick svc =
+     deadlines, release due retries, respawn.  Returns the tasks still in
+     flight, read under the pass's own lock. *)
+  let step svc =
     let to_join = ref [] in
     Mutex.lock svc.mu;
     let now = Unix.gettimeofday () in
@@ -961,6 +584,10 @@ module Service = struct
           | S_busy r -> (
             match r.q_task.t_deadline with
             | Some d when now -. r.q_start > 2. *. d ->
+              (* Past the cooperative-cancellation grace period: the
+                 attempt is not responding.  Abandon the worker (it is
+                 told to retire if it ever comes back) and give the task
+                 a fresh domain. *)
               svc.s_abandoned <- svc.s_abandoned + 1;
               tr svc (fun t ->
                   Telemetry.Trace.instant t ~tid:0
@@ -1004,6 +631,7 @@ module Service = struct
     if not (Queue.is_empty svc.pending) then Condition.broadcast svc.cond;
     let live = List.length svc.slots in
     let quit = svc.quit in
+    let in_flight = svc.in_flight in
     Mutex.unlock svc.mu;
     List.iter Domain.join !to_join;
     if not quit then
@@ -1024,13 +652,16 @@ module Service = struct
         let slot = spawn_slot svc tid in
         svc.slots <- slot :: svc.slots;
         Mutex.unlock svc.mu
-      done
+      done;
+    in_flight
 
-  (* Bounded shutdown, same discipline as [supervise]: wake everyone,
-     cancel whatever is still running, then wait at most [deadline]
-     seconds — a worker wedged in non-cooperative code is left behind
-     rather than wedging the caller.  Returns [true] when every worker
-     joined (no stragglers). *)
+  let tick svc = ignore (step svc)
+
+  (* Bounded shutdown: wake everyone, cancel whatever is still running,
+     then wait at most [deadline] seconds — a worker wedged in
+     non-cooperative code cannot be killed, so it is left behind rather
+     than wedging the caller.  Returns [true] when every worker joined
+     (no stragglers). *)
   let shutdown ?(deadline = 2.0) svc =
     Mutex.lock svc.mu;
     svc.quit <- true;
@@ -1069,11 +700,62 @@ module Service = struct
     stragglers = []
 end
 
-let map ?(jobs = 1) f xs =
-  let outcomes, _ = supervise ~jobs ~retries:0 (fun _budget x -> f x) xs in
-  List.map
-    (function
-      | Done v -> v
-      | Crashed { exn; _ } -> raise exn
-      | Timed_out _ -> failwith "Pool.map: task timed out")
-    outcomes
+(* A batch of work items: inline on the calling domain for one job, else
+   a fresh [Service] driven to completion. *)
+let supervise ?(jobs = 1) ?deadline ?(retries = 2) ?chaos ?trace ?label f xs =
+  let items = Array.of_list xs in
+  let jobs = max 1 (min jobs (Array.length items)) in
+  let task_label =
+    match label with
+    | Some l -> fun i -> l items.(i)
+    | None -> fun i -> Printf.sprintf "task-%d" i
+  in
+  if jobs = 1 then begin
+    (* Inline path: the service's attempt/fault/backoff schedule, no
+       domains.  An injected crash is charged as a crashed attempt and an
+       injected hang as a timed-out one without actually spinning —
+       nothing else could make progress meanwhile. *)
+    name_lanes trace 1;
+    let inj = new_injections () in
+    let retried = ref 0 in
+    let run_task i x =
+      let rec go attempt =
+        let budget = Budget.make ?deadline () in
+        let res =
+          try_attempt inj ~trace ~tid:1 ~label:(task_label i) ~chaos ~seq:i
+            ~attempt ~started:(Unix.gettimeofday ())
+            ~crash:(fun () -> Error (F_crash (Chaos_crash, "")))
+            ~hang:(fun () -> Option.value deadline ~default:0.)
+            (fun b -> f b x)
+            budget
+        in
+        match res with
+        | Ok v -> Done v
+        | Error _ when attempt <= retries ->
+          incr retried;
+          retry_instant trace (task_label i) attempt;
+          Unix.sleepf (backoff attempt);
+          go (attempt + 1)
+        | Error fl -> outcome_of_failure fl attempt
+      in
+      go 1
+    in
+    let results = Array.mapi run_task items in
+    (Array.to_list results, { (injected_stats inj) with retried = !retried })
+  end
+  else begin
+    let svc = Service.create ~jobs ?trace () in
+    let handles =
+      Array.mapi
+        (fun i x ->
+          Service.submit svc ?deadline ~retries ?chaos ~label:(task_label i)
+            (fun budget -> f budget x))
+        items
+    in
+    while Service.step svc > 0 do
+      Unix.sleepf 0.001
+    done;
+    ignore (Service.shutdown ~deadline:(Float.max 1.0 (hang_cap deadline)) svc);
+    let outcome h = Option.get (Service.poll svc h) in
+    (Array.to_list (Array.map outcome handles), Service.stats svc)
+  end

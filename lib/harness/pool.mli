@@ -1,13 +1,16 @@
 (** Supervised fixed-size Domain worker pool (OCaml 5 [Domain] + [Atomic]).
 
-    {!supervise} runs each work item as a sequence of attempts on worker
-    domains while the calling domain supervises: it delivers results,
-    detects dead workers and respawns them, enforces a per-task wall-clock
-    deadline (cooperative cancellation through a {!Telemetry.Budget}
-    first, abandon-and-reschedule on a fresh domain after a 2x grace
-    period), and retries transient failures on a deterministic capped
-    exponential backoff.  Every task ends in a structured {!outcome} — a
-    crash or hang of one task never takes down the sweep or loses sibling
+    One supervisor, two ways to drive it.  {!Service} keeps resident
+    worker domains and runs each submitted task as a sequence of attempts
+    while its {!Service.tick} — driven by the caller — delivers results,
+    detects dead workers and respawns them, enforces a per-task
+    wall-clock deadline (cooperative cancellation through a
+    {!Telemetry.Budget} first, abandon-and-reschedule on a fresh domain
+    after a 2x grace period), and retries transient failures on a
+    deterministic capped exponential backoff.  {!supervise} runs a batch:
+    inline on the calling domain for one job, else on a fresh {!Service}
+    driven to completion.  Every task ends in a structured {!outcome} — a
+    crash or hang of one task never takes down the batch or loses sibling
     results.
 
     Determinism: results land in input order, and chaos fault injection is
@@ -47,7 +50,8 @@ type 'a outcome =
 (** ["done"], ["crashed"] or ["timed-out"]. *)
 val outcome_kind : _ outcome -> string
 
-(** What the supervisor saw over one {!supervise} call. *)
+(** What the supervisor saw over one {!supervise} call or over a
+    {!Service}'s lifetime. *)
 type stats = {
   injected_crashes : int;  (** chaos crashes injected *)
   injected_hangs : int;  (** chaos hangs injected *)
@@ -107,10 +111,13 @@ val chaos_fault :
     E.g. ["crash:0.2,hang:0.05,seed:7"]. *)
 val chaos_of_string : string -> (chaos, string) result
 
-(** [supervise ~jobs ~deadline ~retries ~backoff_base ~chaos f xs] runs
-    [f budget x] for each [x] on [jobs] worker domains ([jobs <= 1] runs
-    inline, spawning none) and returns the outcomes in input order plus
-    supervisor statistics.
+(** [supervise ~jobs ~deadline ~retries ~chaos f xs] runs [f budget x]
+    for each [x] and returns the outcomes in input order plus supervisor
+    statistics.  With [jobs <= 1] the items run inline on the calling
+    domain, spawning none (an injected hang is charged as a timed-out
+    attempt without spinning); otherwise each item [i] is submission [i]
+    of a fresh {!Service} with [min jobs (List.length xs)] workers, ticked
+    until every item has an outcome and then shut down.
 
     Each attempt gets a fresh budget carrying [deadline] (seconds of
     wall-clock); [f] should poll it at safepoints (the interpreter does,
@@ -136,7 +143,6 @@ val supervise :
   ?jobs:int ->
   ?deadline:float ->
   ?retries:int ->
-  ?backoff_base:float ->
   ?chaos:chaos ->
   ?trace:Telemetry.Trace.t ->
   ?label:('a -> string) ->
@@ -144,12 +150,12 @@ val supervise :
   'a list ->
   'b outcome list * stats
 
-(** Persistent supervised worker pool — the {!supervise} fault-isolation
-    discipline (resident worker domains, respawn on death, per-task
+(** The supervisor: resident worker domains, respawn on death, per-task
     deadlines with cooperative cancel then abandon at 2x, deterministic
-    retries and chaos) for tasks that arrive one at a time, e.g. daemon
-    requests.  The supervisor is not a loop here: {!Service.tick} is one
-    non-blocking pass, driven from the caller's own event loop.
+    retries and chaos, for tasks that arrive one at a time.  It is not a
+    loop: {!Service.tick} is one non-blocking pass, driven from the
+    caller's own event loop (the daemon's select loop) or to completion
+    by {!supervise}.
 
     Resident workers keep their domain-local decode caches warm across
     tasks, which is the daemon's cross-request cache sharing. *)
@@ -162,14 +168,16 @@ module Service : sig
   (** Spawn [jobs] resident worker domains (default 1).  With [trace],
       attempts are recorded as spans on worker lanes 1..jobs and
       supervisor decisions (retry, death, respawn, deadline
-      cancel/abandon) as instants on lane 0, as in {!supervise}. *)
+      cancel/abandon) as instants on lane 0 (see {!supervise}). *)
   val create : ?jobs:int -> ?trace:Telemetry.Trace.t -> unit -> t
 
   (** Queue [f] for execution on a worker domain.  Each attempt gets a
       fresh cancellable budget carrying [deadline]; failures retry up to
       [retries] times (default 0) on the {!backoff} schedule; [chaos]
       draws per-attempt faults from the pure (seed, submission number,
-      attempt) hash.  [label] names the task in traces.
+      attempt) hash, submissions numbered from 0 — so a fresh service's
+      submission [i] draws {!supervise}'s faults for item [i].  [label]
+      names the task in traces (default ["req-N"]).
       @raise Invalid_argument after {!shutdown}. *)
   val submit :
     t ->
@@ -208,9 +216,3 @@ module Service : sig
       than wedging the caller. *)
   val shutdown : ?deadline:float -> t -> bool
 end
-
-(** [map ~jobs f xs] is [List.map f xs] computed by [jobs] worker domains
-    ([jobs = 1] spawns none): {!supervise} with no deadline, no retries
-    and no chaos.  If any application raises, the raising task with the
-    lowest index has its exception re-raised after the pool is joined. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

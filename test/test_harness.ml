@@ -212,7 +212,7 @@ let test_flaky_retry () =
     else x + 100
   in
   let outcomes, stats =
-    Pool.supervise ~jobs:2 ~retries:2 ~backoff_base:0.001 f [ 0; 1; 2; 3 ]
+    Pool.supervise ~jobs:2 ~retries:2 f [ 0; 1; 2; 3 ]
   in
   List.iteri
     (fun i o ->
@@ -277,7 +277,7 @@ let test_chaos_crash_respawn () =
      detect each death, respawn, and exhaust the retry budget. *)
   let chaos = { Pool.crash = 1.0; hang = 0.0; alloc = 0.0; chaos_seed = 3 } in
   let outcomes, stats =
-    Pool.supervise ~jobs:2 ~retries:2 ~backoff_base:0.001 ~chaos
+    Pool.supervise ~jobs:2 ~retries:2 ~chaos
       (fun _budget x -> x)
       [ 0; 1; 2; 3 ]
   in
@@ -301,7 +301,7 @@ let test_chaos_determinism () =
   in
   let run jobs =
     let outcomes, stats =
-      Pool.supervise ~jobs ~retries:1 ~backoff_base:0.001 ~chaos
+      Pool.supervise ~jobs ~retries:1 ~chaos
         (fun _budget x -> 3 * x)
         (List.init 12 Fun.id)
     in
@@ -338,14 +338,44 @@ let test_chaos_determinism () =
   Alcotest.(check bool) "schedule mixes faults and successes" true
     (has "done" && has "crashed")
 
-let test_pool_map () =
+let test_supervise_trace () =
+  (* The supervisor's trace contract: every attempt is a complete span
+     named by its label on a worker lane, chaos faults are instants on the
+     worker lanes, and supervisor decisions are instants on lane 0. *)
+  let chaos = { Pool.crash = 1.0; hang = 0.0; alloc = 0.0; chaos_seed = 3 } in
+  let trace = Telemetry.Trace.create () in
+  let label = Printf.sprintf "item-%d" in
+  ignore
+    (Pool.supervise ~jobs:2 ~retries:1 ~chaos ~trace ~label
+       (fun _budget x -> x)
+       [ 0; 1; 2; 3 ]);
+  let open Telemetry.Json in
+  let evs =
+    Option.get
+      (Option.bind (member "traceEvents" (Telemetry.Trace.to_json trace)) to_list)
+  in
+  let field get k ev = Option.bind (member k ev) get in
+  let lanes ph keep =
+    List.filter
+      (fun e -> field get_string "ph" e = Some ph && keep (field get_string "name" e))
+      evs
+    |> List.filter_map (field get_int "tid")
+    |> List.sort_uniq compare
+  in
+  let labels = List.init 4 (fun i -> Some (label i)) in
   Alcotest.(check (list int))
-    "map" [ 0; 1; 4; 9 ]
-    (Pool.map ~jobs:2 (fun x -> x * x) [ 0; 1; 2; 3 ]);
-  match Pool.map ~jobs:2 (fun x -> if x = 2 then raise Exit else x) [ 0; 1; 2; 3 ]
-  with
-  | _ -> Alcotest.fail "expected Exit to re-raise"
-  | exception Exit -> ()
+    "labelled spans on worker lanes" [ 1; 2 ]
+    (lanes "X" (fun n -> List.mem n labels));
+  Alcotest.(check bool) "every span is labelled" true
+    (lanes "X" (fun n -> not (List.mem n labels)) = []);
+  let chaos_lanes = lanes "i" (( = ) (Some "chaos-crash")) in
+  Alcotest.(check bool) "chaos-crash instants on worker lanes" true
+    (chaos_lanes <> [] && List.for_all (fun l -> l = 1 || l = 2) chaos_lanes);
+  List.iter
+    (fun name ->
+      Alcotest.(check (list int)) (name ^ " on lane 0") [ 0 ]
+        (lanes "i" (( = ) (Some name))))
+    [ "task-retry"; "worker-died"; "worker-respawn" ]
 
 let test_run_many_chaos_zero_lost () =
   (* Chaos may abort tasks but must never lose one silently, and every
@@ -397,7 +427,7 @@ let tests =
       Alcotest.test_case "pool chaos crash respawn" `Quick
         test_chaos_crash_respawn;
       Alcotest.test_case "pool chaos determinism" `Quick test_chaos_determinism;
-      Alcotest.test_case "pool map" `Quick test_pool_map;
+      Alcotest.test_case "pool trace contract" `Quick test_supervise_trace;
       Alcotest.test_case "run_many chaos loses nothing" `Slow
         test_run_many_chaos_zero_lost;
     ] )

@@ -26,7 +26,8 @@ echo "== chaos smoke: crash+hang injection at -j 2, zero lost results =="
 dune exec bin/jumprepc.exe -- fuzz --seeds 10 -j 2 --quiet \
   --chaos crash:0.2,seed:9 --out _build/fuzz-chaos
 dune exec bench/main.exe -- --json -j 2 --chaos crash:0.1,hang:0.05,seed:11 \
-  --trace-out _build/trace-chaos.json
+  --trace-out _build/trace-chaos.json > _build/chaos-sweep.log
+grep -q '^chaos: [1-9][0-9]* faults injected' _build/chaos-sweep.log
 python3 - << 'EOF'
 import json
 doc = json.load(open("BENCH_results.json"))
