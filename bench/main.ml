@@ -11,30 +11,36 @@
      bench/main.exe --json --profile --trace-out trace.json
                                     profiled sweep + Perfetto trace
 
+   Tables 4, 5, 6 and bb are Report's markdown sections over the sweep
+   document, the same bytes --json writes; the sweep runs at most once
+   per process, at -j, through the store when --store is given.
+
    Any output mismatch discovered while measuring makes the driver exit
    nonzero (see Harness.Measure.mismatches).                              *)
 
-let available : (string * string * (Format.formatter -> unit)) list =
+(* A table is printed live, or rendered from the sweep document. *)
+type table = Live of (Format.formatter -> unit) | Swept of (Report.doc -> string)
+
+let available : (string * string * table) list =
   [
-    ("1", "Table 1: loop with exit condition in the middle", Harness.Tables.table1);
-    ("2", "Table 2: if-then-else", Harness.Tables.table2);
-    ("3", "Table 3: test set", Harness.Tables.table3);
-    ("4", "Table 4: percent unconditional jumps", Harness.Tables.table4);
-    ("5", "Table 5: static and dynamic instructions", Harness.Tables.table5);
-    ("6", "Table 6: cache miss ratio and fetch cost", Harness.Tables.table6);
-    ("bb", "Section 5.2: block statistics", Harness.Tables.block_stats);
-    ("fig", "Figures 1 and 2: loop interference cases", Harness.Tables.figures);
-    ("cap", "Ablation: bounded replication (paper section 6)", Harness.Tables.ablation_cap);
-    ("heur", "Ablation: step-2 heuristic", Harness.Tables.ablation_heuristic);
-    ("assoc", "Ablation: cache associativity (extension)", Harness.Tables.ablation_assoc);
-    ("passes", "Ablation: cleanup passes (paper section 3.3)", Harness.Tables.ablation_passes);
+    ("1", "Table 1: loop with exit condition in the middle", Live Harness.Tables.table1);
+    ("2", "Table 2: if-then-else", Live Harness.Tables.table2);
+    ("3", "Table 3: test set", Live Harness.Tables.table3);
+    ("4", "Table 4: percent unconditional jumps", Swept Report.table4);
+    ("5", "Table 5: static and dynamic instructions", Swept Report.table5);
+    ("6", "Table 6: cache miss ratio and fetch cost", Swept Report.table6);
+    ("bb", "Section 5.2: block statistics", Swept Report.section52);
+    ("fig", "Figures 1 and 2: loop interference cases", Live Harness.Tables.figures);
+    ("cap", "Ablation: bounded replication (paper section 6)", Live Harness.Tables.ablation_cap);
+    ("heur", "Ablation: step-2 heuristic", Live Harness.Tables.ablation_heuristic);
+    ("assoc", "Ablation: cache associativity (extension)", Live Harness.Tables.ablation_assoc);
+    ("passes", "Ablation: cleanup passes (paper section 3.3)", Live Harness.Tables.ablation_passes);
   ]
 
 (* --- Bechamel micro-benchmarks of the compiler and simulator --- *)
 
-(* Record one instruction-fetch trace so the cache-simulation micros
-   feed both implementations the identical stream, isolated from the
-   interpreter. *)
+(* Record one instruction-fetch trace so the cache-simulation micro
+   replays a fixed stream, isolated from the interpreter. *)
 let record_trace asm prog =
   let addrs = ref (Array.make 4096 0) in
   let sizes = ref (Array.make 4096 0) in
@@ -95,7 +101,6 @@ let bechamel_tests () =
   let asm_simple = Sim.Asm.assemble Ir.Machine.risc prog_simple in
   let trace_addrs, trace_sizes = record_trace asm_simple prog_simple in
   let trace_len = Array.length trace_addrs in
-  let caches = List.map Icache.create Icache.paper_configs in
   let bank = Icache.Bank.create Icache.paper_configs in
   let sp_func, sp_cfg = gen_cfg () in
   let sp_blocks = Flow.Cfg.num_blocks sp_cfg in
@@ -156,14 +161,6 @@ let bechamel_tests () =
         for i = 0 to trace_len - 1 do
           Icache.Bank.access bank ~addr:trace_addrs.(i) ~size:trace_sizes.(i)
         done);
-    t "cachesim-list/quicksort-trace" (fun () ->
-        List.iter Icache.reset caches;
-        for i = 0 to trace_len - 1 do
-          List.iter
-            (fun c ->
-              Icache.access c ~addr:trace_addrs.(i) ~size:trace_sizes.(i))
-            caches
-        done);
     t
       (Printf.sprintf "shortest-path-fw/gen-%db" sp_blocks)
       (fun () ->
@@ -217,16 +214,55 @@ let run_bechamel ?(quota = 0.5) () =
         (Test.elements test))
     (bechamel_tests ())
 
-(* --- machine-readable results: the full suite sweep as JSON --- *)
+(* --- the sweep document: every measurement as JSON --- *)
 
-(* Every (benchmark, level, machine) measurement plus the telemetry counter
-   totals of the sweep, in one JSON document.  The numbers come from the
-   same Harness.Measure/Telemetry path the tables use.  [run_many]
-   guarantees the document is byte-identical at any [jobs]. *)
-let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
-    ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "") path =
-  let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
-  let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
+(* Every (benchmark, level, machine), machine-major then level then
+   program: the order of the document's "results" array. *)
+let tasks =
+  List.concat_map
+    (fun machine ->
+      List.concat_map
+        (fun level -> List.map (fun b -> (b, level, machine)) Programs.Suite.all)
+        [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+    [ Ir.Machine.risc; Ir.Machine.cisc ]
+
+(* The results rows plus the telemetry counter totals of the sweep.  The
+   failures array appears only when non-empty, so a clean sweep's
+   document stays byte-identical to the committed baseline; the "engine"
+   field is provenance that the baseline and the trend history carry
+   (there is one engine). *)
+let document ~log ~failures rows =
+  let counters =
+    Telemetry.Counter.all log
+    |> List.map (fun (name, value) ->
+           Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
+  in
+  let failures =
+    match failures with
+    | [] -> ""
+    | fs ->
+      Printf.sprintf ",\"failures\":[%s]"
+        (String.concat "," (List.map Harness.Measure.failure_to_json fs))
+  in
+  Printf.sprintf
+    "{\"engine\":\"threaded\",\"results\":[%s],\"counters\":{%s}%s}\n"
+    (String.concat "," rows)
+    (String.concat "," counters)
+    failures
+
+type sweep = {
+  doc : string;
+  measured : int;
+  task_failures : int;
+  failed : bool;  (** a verdict the process-global Measure lists miss *)
+}
+
+(* The in-process sweep through Harness.Measure.run_many, which
+   guarantees the document is byte-identical at any [jobs].  Its results
+   land in the Measure memo, so later tables measuring the same
+   configurations reuse them. *)
+let cold_sweep ~jobs ?deadline ?retries ?chaos ~profile ~profile_out
+    ~profile_top ~trace_out () =
   let log = Telemetry.Log.make Telemetry.Log.Memory in
   (* The observability instruments ride beside the sweep: the profiler
      and trace never touch the measurement or counter paths, so the
@@ -247,15 +283,6 @@ let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
       Telemetry.Metrics.create ()
     else Telemetry.Metrics.null
   in
-  let tasks =
-    List.concat_map
-      (fun machine ->
-        List.concat_map
-          (fun level ->
-            List.map (fun b -> (b, level, machine)) Programs.Suite.all)
-          levels)
-      machines
-  in
   let results =
     Harness.Measure.run_many ~log ~profiler ?trace ~metrics:pool_metrics ~jobs
       ?deadline ?retries ?chaos tasks
@@ -266,32 +293,7 @@ let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
      sweep log — the results document must not depend on scheduling. *)
   Sim.Interp.publish_cache_metrics pool_metrics;
   Sim.Engine.publish_cache_metrics pool_metrics;
-  let counters =
-    Telemetry.Counter.all log
-    |> List.map (fun (name, value) ->
-           Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
-  in
-  (* The failures array appears only when non-empty, so a clean sweep's
-     document stays byte-identical to the committed baseline. *)
-  let failures =
-    match Harness.Measure.task_failures () with
-    | [] -> ""
-    | fs ->
-      Printf.sprintf ",\"failures\":[%s]"
-        (String.concat "," (List.map Harness.Measure.failure_to_json fs))
-  in
-  let oc = open_out path in
-  (* The "engine" field is provenance that the committed baseline and
-     the trend history carry; there is one engine. *)
-  Printf.fprintf oc
-    "{\"engine\":\"threaded\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (String.concat "," (List.map Harness.Measure.to_json results))
-    (String.concat "," counters)
-    failures;
-  close_out oc;
-  Printf.printf "wrote %s (%d measurements, %d tasks failed)\n" path
-    (List.length results)
-    (List.length (Harness.Measure.task_failures ()));
+  let failures = Harness.Measure.task_failures () in
   if profiling then begin
     Telemetry.Profiler.pp_table ~top:profile_top Format.std_formatter profiler;
     Format.pp_print_flush Format.std_formatter ();
@@ -329,28 +331,22 @@ let write_json ~jobs ?deadline ?retries ?chaos ?(profile = false)
        retries, %d respawns, %d abandoned\n"
       (crashes + hangs + allocs) crashes hangs allocs (c "retried")
       (c "respawned") (c "abandoned")
-  end
+  end;
+  {
+    doc = document ~log ~failures (List.map Harness.Measure.to_json results);
+    measured = List.length results;
+    task_failures = List.length failures;
+    (* Mismatches, timeouts and lost tasks are in Measure's own lists. *)
+    failed = false;
+  }
 
-(* --- campaign mode: the sweep against a content-addressed store --- *)
-
-(* Same document, computed through Campaign.Runner: cached rows are
-   spliced back verbatim and counter deltas replayed, so the output is
-   byte-identical to the cold [write_json] path above at any worker
-   count, with or without a kill-and-resume in between. *)
-let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
-    path =
-  let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
-  let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
+(* Campaign mode: the same document computed through Campaign.Runner
+   against a content-addressed store.  Cached rows are spliced back
+   verbatim and counter deltas replayed, so the document is byte-identical
+   to [cold_sweep]'s at any worker count, with or without a
+   kill-and-resume in between. *)
+let campaign_sweep ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos () =
   let log = Telemetry.Log.make Telemetry.Log.Memory in
-  let tasks =
-    List.concat_map
-      (fun machine ->
-        List.concat_map
-          (fun level ->
-            List.map (fun b -> (b, level, machine)) Programs.Suite.all)
-          levels)
-      machines
-  in
   let store = Campaign.Store.open_ dir in
   let worker_argv = [| Sys.executable_name; "--worker"; "--store"; dir |] in
   let rows, s =
@@ -361,29 +357,6 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
     (fun d ->
       Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
     s.Campaign.Runner.diags;
-  let counters =
-    Telemetry.Counter.all log
-    |> List.map (fun (name, value) ->
-           Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
-  in
-  let failures =
-    match s.Campaign.Runner.failures with
-    | [] -> ""
-    | fs ->
-      Printf.sprintf ",\"failures\":[%s]"
-        (String.concat "," (List.map Harness.Measure.failure_to_json fs))
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"engine\":\"threaded\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (String.concat ","
-       (List.map (fun r -> r.Campaign.Runner.r_row) rows))
-    (String.concat "," counters)
-    failures;
-  close_out oc;
-  Printf.printf "wrote %s (%d measurements, %d tasks failed)\n" path
-    (List.length rows)
-    (List.length s.Campaign.Runner.failures);
   Printf.printf
     "campaign: %d tasks, %d cached, %d computed, %d corrupt, %d worker kills, \
      %d respawns\n"
@@ -407,9 +380,8 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
           r.r_machine
       end)
     rows;
-  (match s.Campaign.Runner.failures with
-  | [] -> ()
-  | fs ->
+  let failures = s.Campaign.Runner.failures in
+  if failures <> [] then begin
     if chaos = None then failed := true;
     List.iter
       (fun (f : Harness.Measure.task_failure) ->
@@ -418,8 +390,16 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
           f.f_program
           (Opt.Driver.level_name f.f_level)
           f.f_machine f.f_attempts f.f_detail)
-      fs);
-  !failed
+      failures
+  end;
+  {
+    doc =
+      document ~log ~failures
+        (List.map (fun r -> r.Campaign.Runner.r_row) rows);
+    measured = List.length rows;
+    task_failures = List.length failures;
+    failed = !failed;
+  }
 
 (* Worker-process mode: serve measure frames over stdin/stdout.  Handled
    before [Arg.parse] so the protocol loop owns stdout from the first
@@ -478,7 +458,8 @@ let () =
       ("--json", Arg.Set json, " write BENCH_results.json (full suite sweep)");
       ( "-j",
         Arg.Set_int jobs,
-        "N  worker domains for the --json sweep (default $JUMPREP_JOBS or 1)"
+        "N  worker domains for the sweep behind --json and -t 4|5|6|bb \
+         (default $JUMPREP_JOBS or 1)"
       );
       ( "--jobs",
         Arg.Set_int jobs,
@@ -517,7 +498,7 @@ let () =
          spans, supervisor and chaos events)" );
       ( "--store",
         Arg.Set_string store,
-        "DIR  content-addressed result store for the --json sweep (campaign \
+        "DIR  content-addressed result store for the sweep (campaign \
          mode: every result is committed as it completes)" );
       ( "--resume",
         Arg.Set resume,
@@ -552,36 +533,50 @@ let () =
               None)
           (List.rev !tables)
     in
+    (* Injected hangs need a deadline to be cancelled against. *)
+    let deadline =
+      match !task_deadline, !chaos with
+      | (Some _ as d), _ -> d
+      | None, Some c when c.Harness.Pool.hang > 0. -> Some 1.0
+      | None, _ -> None
+    in
+    let sweep =
+      lazy
+        (let jobs = max 1 !jobs in
+         if !store <> "" then
+           campaign_sweep ~dir:!store ~resume:!resume ~workers:!workers ~jobs
+             ?deadline ?retries:!retries ?chaos:!chaos ()
+         else begin
+           if !resume || !workers > 0 then begin
+             Printf.eprintf "--resume/--workers need --store DIR\n";
+             exit 2
+           end;
+           cold_sweep ~jobs ?deadline ?retries:!retries ?chaos:!chaos
+             ~profile:!profile ~profile_out:!profile_out
+             ~profile_top:!profile_top ~trace_out:!trace_out ()
+         end)
+    in
+    let doc =
+      lazy
+        (match Report.parse_results (Lazy.force sweep).doc with
+        | Ok d -> d
+        | Error e -> failwith ("sweep document: " ^ e))
+    in
     let ppf = Format.std_formatter in
     List.iter
-      (fun (_, _, print) ->
-        print ppf;
+      (fun (_, _, table) ->
+        (match table with
+        | Live print -> print ppf
+        | Swept render -> Format.pp_print_string ppf (render (Lazy.force doc)));
         Format.pp_print_flush ppf ())
       selected;
-    let campaign_failed = ref false in
     if !json then begin
-      (* Injected hangs need a deadline to be cancelled against. *)
-      let deadline =
-        match !task_deadline, !chaos with
-        | (Some _ as d), _ -> d
-        | None, Some c when c.Harness.Pool.hang > 0. -> Some 1.0
-        | None, _ -> None
-      in
-      if !store <> "" then
-        campaign_failed :=
-          write_json_campaign ~dir:!store ~resume:!resume ~workers:!workers
-            ~jobs:(max 1 !jobs) ?deadline ?retries:!retries ?chaos:!chaos
-            "BENCH_results.json"
-      else begin
-        if !resume || !workers > 0 then begin
-          Printf.eprintf "--resume/--workers need --store DIR\n";
-          exit 2
-        end;
-        write_json ~jobs:(max 1 !jobs) ?deadline ?retries:!retries
-          ?chaos:!chaos ~profile:!profile
-          ~profile_out:!profile_out ~profile_top:!profile_top
-          ~trace_out:!trace_out "BENCH_results.json"
-      end
+      let s = Lazy.force sweep in
+      let oc = open_out "BENCH_results.json" in
+      output_string oc s.doc;
+      close_out oc;
+      Printf.printf "wrote BENCH_results.json (%d measurements, %d tasks failed)\n"
+        s.measured s.task_failures
     end;
     if !bech then run_bechamel ~quota:!bech_quota ();
     (* Timeouts and mismatches are distinct verdicts; either fails the
@@ -621,5 +616,5 @@ let () =
             (Opt.Driver.level_name f.f_level)
             f.f_machine f.f_attempts f.f_detail)
         fs);
-    if !failed || !campaign_failed then exit 1
+    if !failed || (Lazy.is_val sweep && (Lazy.force sweep).failed) then exit 1
   end

@@ -1,17 +1,7 @@
-let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ]
-let machines = [ Ir.Machine.risc; Ir.Machine.cisc ]
-
 let mean xs =
   match xs with
   | [] -> 0.0
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) xs))
 
 let pct a b = 100.0 *. float_of_int a /. float_of_int (max 1 b)
 
@@ -76,157 +66,6 @@ let table3 ppf =
     (fun (b : Programs.Suite.benchmark) ->
       Fmt.pf ppf "%-10s %-12s %s@." b.clazz b.name b.description)
     Programs.Suite.all
-
-(* ------------------------------------------------------------------ *)
-
-let table4 ppf =
-  Fmt.pf ppf
-    "Table 4: percent of instructions that are unconditional jumps@.@.";
-  Fmt.pf ppf "%-22s | %-24s | %-24s@." ""
-    "static (SIMPLE/LOOPS/JUMPS)" "dynamic (SIMPLE/LOOPS/JUMPS)";
-  List.iter
-    (fun machine ->
-      let stats level =
-        let ms = Measure.run_suite level machine in
-        let st = List.map (fun (m : Measure.t) -> pct m.static_ujumps m.static_instrs) ms in
-        let dy = List.map (fun (m : Measure.t) -> pct m.dyn_ujumps m.dyn_instrs) ms in
-        (st, dy)
-      in
-      let all = List.map stats levels in
-      let line f title =
-        Fmt.pf ppf "%-22s |" (machine.Ir.Machine.name ^ " " ^ title);
-        List.iter (fun (st, _) -> Fmt.pf ppf " %6.2f%%" (f st)) all;
-        Fmt.pf ppf "  |";
-        List.iter (fun (_, dy) -> Fmt.pf ppf " %6.2f%%" (f dy)) all;
-        Fmt.pf ppf "@."
-      in
-      line mean "avg";
-      line stddev "std")
-    machines;
-  Fmt.pf ppf "@."
-
-let table5 ppf =
-  Fmt.pf ppf "Table 5: number of static and dynamic instructions@.";
-  List.iter
-    (fun machine ->
-      Fmt.pf ppf "@.%s@." machine.Ir.Machine.name;
-      Fmt.pf ppf "%-12s %10s %9s %9s | %12s %9s %9s@." "program" "static"
-        "LOOPS" "JUMPS" "dynamic" "LOOPS" "JUMPS";
-      let totals = ref (0, 0) in
-      List.iter
-        (fun (b : Programs.Suite.benchmark) ->
-          let m level = Measure.run b level machine in
-          let s = m Opt.Driver.Simple in
-          let l = m Opt.Driver.Loops in
-          let j = m Opt.Driver.Jumps in
-          totals := (fst !totals + s.static_instrs, snd !totals + s.dyn_instrs);
-          Fmt.pf ppf "%-12s %10d %+8.2f%% %+8.2f%% | %12d %+8.2f%% %+8.2f%%@."
-            b.name s.static_instrs
-            (change l.static_instrs s.static_instrs)
-            (change j.static_instrs s.static_instrs)
-            s.dyn_instrs
-            (change l.dyn_instrs s.dyn_instrs)
-            (change j.dyn_instrs s.dyn_instrs))
-        Programs.Suite.all;
-      (* averages of the per-program percentage changes, as in the paper *)
-      let avg f =
-        mean
-          (List.map
-             (fun (b : Programs.Suite.benchmark) ->
-               let s = Measure.run b Opt.Driver.Simple machine in
-               f s (Measure.run b Opt.Driver.Loops machine)
-                 (Measure.run b Opt.Driver.Jumps machine))
-             Programs.Suite.all)
-      in
-      let avg_static_l =
-        avg (fun s l _ -> change l.Measure.static_instrs s.Measure.static_instrs)
-      and avg_static_j =
-        avg (fun s _ j -> change j.Measure.static_instrs s.Measure.static_instrs)
-      and avg_dyn_l =
-        avg (fun s l _ -> change l.Measure.dyn_instrs s.Measure.dyn_instrs)
-      and avg_dyn_j =
-        avg (fun s _ j -> change j.Measure.dyn_instrs s.Measure.dyn_instrs)
-      in
-      Fmt.pf ppf "%-12s %10s %+8.2f%% %+8.2f%% | %12s %+8.2f%% %+8.2f%%@."
-        "average" "" avg_static_l avg_static_j "" avg_dyn_l avg_dyn_j)
-    machines;
-  Fmt.pf ppf "@."
-
-let table6 ppf =
-  Fmt.pf ppf
-    "Table 6: percent change in miss ratio and instruction fetch cost@.";
-  let sizes = [ 1; 2; 4; 8 ] in
-  let find_cache (m : Measure.t) ~kb ~cs =
-    List.find
-      (fun (c : Measure.cache_stats) ->
-        c.config.size_bytes = kb * 1024 && c.config.context_switches = cs)
-      m.caches
-  in
-  List.iter
-    (fun what ->
-      Fmt.pf ppf "@.%s:@."
-        (match what with `Miss -> "cache miss ratio (percentage points)"
-                       | `Cost -> "instruction fetch cost (percent)");
-      Fmt.pf ppf "%-28s" "machine / ctx switches";
-      List.iter (fun kb -> Fmt.pf ppf "  %5dKb LOOPS JUMPS " kb) sizes;
-      Fmt.pf ppf "@.";
-      List.iter
-        (fun machine ->
-          List.iter
-            (fun cs ->
-              Fmt.pf ppf "%-28s"
-                (Printf.sprintf "%s / %s" machine.Ir.Machine.name
-                   (if cs then "on" else "off"));
-              List.iter
-                (fun kb ->
-                  let delta level =
-                    mean
-                      (List.map
-                         (fun (b : Programs.Suite.benchmark) ->
-                           let s = Measure.run b Opt.Driver.Simple machine in
-                           let m = Measure.run b level machine in
-                           let cs_s = find_cache s ~kb ~cs in
-                           let cs_m = find_cache m ~kb ~cs in
-                           match what with
-                           | `Miss ->
-                             100.0 *. (cs_m.miss_ratio -. cs_s.miss_ratio)
-                           | `Cost -> change cs_m.fetch_cost cs_s.fetch_cost)
-                         Programs.Suite.all)
-                  in
-                  Fmt.pf ppf "   %+6.2f %+6.2f    "
-                    (delta Opt.Driver.Loops) (delta Opt.Driver.Jumps))
-                sizes;
-              Fmt.pf ppf "@.")
-            [ true; false ])
-        machines)
-    [ `Miss; `Cost ];
-  Fmt.pf ppf "@."
-
-let block_stats ppf =
-  Fmt.pf ppf "Section 5.2 statistics@.@.";
-  Fmt.pf ppf "instructions between branches (dynamic):@.";
-  List.iter
-    (fun machine ->
-      Fmt.pf ppf "  %-18s" machine.Ir.Machine.name;
-      List.iter
-        (fun level ->
-          let ms = Measure.run_suite level machine in
-          Fmt.pf ppf " %s=%5.2f" (Opt.Driver.level_name level)
-            (mean (List.map Measure.instrs_between_branches ms)))
-        levels;
-      Fmt.pf ppf "@.")
-    machines;
-  let risc = Ir.Machine.risc in
-  let nops level =
-    List.fold_left
-      (fun acc (m : Measure.t) -> acc + m.dyn_nops)
-      0 (Measure.run_suite level risc)
-  in
-  let s = nops Opt.Driver.Simple and j = nops Opt.Driver.Jumps in
-  Fmt.pf ppf
-    "@.executed no-ops on the RISC: SIMPLE=%d JUMPS=%d (%.1f%% eliminated)@.@."
-    s j
-    (100.0 *. float_of_int (s - j) /. float_of_int (max 1 s))
 
 (* ------------------------------------------------------------------ *)
 
@@ -333,8 +172,17 @@ let ablation_assoc ppf =
     "1Kb instruction cache, no context switches, RISC; average fetch-cost@.";
   Fmt.pf ppf "change vs SIMPLE over the suite:@.@.";
   Fmt.pf ppf "%-12s %12s %12s@." "assoc" "LOOPS" "JUMPS";
+  let assocs = [ 1; 2; 4 ] in
+  let bank_configs =
+    List.map
+      (fun assoc ->
+        { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc })
+      assocs
+  in
   let machine = Ir.Machine.risc in
-  let fetch_cost assoc level (b : Programs.Suite.benchmark) =
+  (* One compile and one run per (program, level), fed through a bank of
+     the three associativities; the fetch costs per bank index. *)
+  let fetch_costs level (b : Programs.Suite.benchmark) =
     let prog =
       Opt.Driver.optimize
         { Opt.Driver.default_options with level }
@@ -342,28 +190,38 @@ let ablation_assoc ppf =
         (Frontend.Codegen.compile_source b.source)
     in
     let asm = Sim.Asm.assemble machine prog in
-    let cache =
-      Icache.create
-        { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc }
-    in
-    let on_fetch ~addr ~size = Icache.access cache ~addr ~size in
-    let _ = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
-    Icache.fetch_cost cache
+    let bank = Icache.Bank.create bank_configs in
+    let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
+    let res = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
+    if res.timed_out || not (String.equal res.output b.expected_output) then
+      failwith
+        (Printf.sprintf "associativity ablation: %s at %s on %s: %s" b.name
+           (Opt.Driver.level_name level)
+           machine.Ir.Machine.short
+           (if res.timed_out then "TIMEOUT" else "output MISMATCH"));
+    Array.init (List.length assocs) (Icache.Bank.fetch_cost bank)
   in
-  List.iter
-    (fun assoc ->
-      let delta level =
+  let costs =
+    List.map
+      (fun b ->
+        ( fetch_costs Opt.Driver.Simple b,
+          fetch_costs Opt.Driver.Loops b,
+          fetch_costs Opt.Driver.Jumps b ))
+      Programs.Suite.all
+  in
+  List.iteri
+    (fun i assoc ->
+      let delta pick =
         mean
           (List.map
-             (fun b ->
-               change (fetch_cost assoc level b)
-                 (fetch_cost assoc Opt.Driver.Simple b))
-             Programs.Suite.all)
+             (fun ((s, _, _) as t) -> change (pick t).(i) s.(i))
+             costs)
       in
       Fmt.pf ppf "%-12s %+11.2f%% %+11.2f%%@."
         (if assoc = 1 then "direct" else Printf.sprintf "%d-way" assoc)
-        (delta Opt.Driver.Loops) (delta Opt.Driver.Jumps))
-    [ 1; 2; 4 ];
+        (delta (fun (_, l, _) -> l))
+        (delta (fun (_, _, j) -> j)))
+    assocs;
   Fmt.pf ppf "@."
 
 let ablation_passes ppf =
@@ -373,17 +231,7 @@ let ablation_passes ppf =
     "Average dynamic change of JUMPS vs a SIMPLE build with the same passes@.";
   Fmt.pf ppf "disabled (RISC):@.@.";
   Fmt.pf ppf "%-22s %12s@." "configuration" "dynamic";
-  let machine = Ir.Machine.risc in
-  let dyn opts level (b : Programs.Suite.benchmark) =
-    let prog =
-      Opt.Driver.optimize
-        { opts with Opt.Driver.level }
-        machine
-        (Frontend.Codegen.compile_source b.source)
-    in
-    let asm = Sim.Asm.assemble machine prog in
-    (Sim.Engine.run ~input:b.input asm prog).counts.total
-  in
+  let dyn opts level b = (Measure.run ~opts b level Ir.Machine.risc).dyn_instrs in
   let row name opts =
     let delta =
       mean

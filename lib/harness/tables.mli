@@ -1,5 +1,8 @@
-(** Regeneration of every table and figure in the paper's evaluation,
-    printed in the same shape as the paper reports them.
+(** The paper's tables and figures that do not come from the bench
+    sweep document: the RTL walkthroughs (Tables 1 and 2), the test set
+    (Table 3), the Figure 1/2 scenarios and four ablations.  Tables 4-6
+    and the section 5.2 statistics are rendered by [Report] over the
+    sweep.
 
     Absolute values differ from the 1992 testbed (different substrate,
     reimplemented utilities); the comparisons SIMPLE vs LOOPS vs JUMPS are
@@ -14,22 +17,6 @@ val table2 : Format.formatter -> unit
 
 (** Table 3: the test set. *)
 val table3 : Format.formatter -> unit
-
-(** Table 4: percentage of instructions that are unconditional jumps
-    (static and dynamic; average and standard deviation over the suite). *)
-val table4 : Format.formatter -> unit
-
-(** Table 5: static and dynamic instruction counts per program, with the
-    LOOPS/JUMPS change relative to SIMPLE. *)
-val table5 : Format.formatter -> unit
-
-(** Table 6: change in cache miss ratio and instruction fetch cost for
-    direct-mapped caches of 1/2/4/8 KiB, context switching on/off. *)
-val table6 : Format.formatter -> unit
-
-(** §5.2 statistics: instructions between branches and no-op elimination on
-    the RISC. *)
-val block_stats : Format.formatter -> unit
 
 (** Figure 1 and Figure 2 scenarios on synthetic control flow. *)
 val figures : Format.formatter -> unit

@@ -3,11 +3,12 @@
    Everything here is IO-free: [parse_results] takes the *contents* of a
    BENCH_results.json document, the renderers return strings, and
    [dat_files] returns (filename, contents) pairs — the jumprepc [report]
-   subcommand owns the file handling.  The table shapes and the arithmetic
-   (mean of per-program percentage changes vs SIMPLE, miss-ratio deltas in
-   percentage points) are exactly those of Harness.Tables / the paper's
-   Tables 4-6, so a report regenerated from the JSON alone reproduces the
-   EXPERIMENTS.md numbers. *)
+   subcommand and the bench driver own the file handling.  This is the
+   one renderer of the paper's Tables 4-6 and its section 5.2 statistics:
+   the arithmetic (mean of per-program percentage changes vs SIMPLE,
+   miss-ratio deltas in percentage points) is the paper's, and the
+   EXPERIMENTS.md tables are this module's output over the committed
+   baseline. *)
 
 module Json = Telemetry.Json
 
@@ -104,13 +105,18 @@ let parse_results contents =
       Ok { rows; counters }
     with Bad m -> Error m)
 
-(* --- aggregation (Harness.Tables arithmetic, over parsed rows) --- *)
-
-let levels = [ "SIMPLE"; "LOOPS"; "JUMPS" ]
+(* --- aggregation (the paper's arithmetic, over parsed rows) --- *)
 
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+(* Population standard deviation: Table 4's "std" row. *)
+let stddev = function
+  | [] | [ _ ] -> 0.0
+  | xs ->
+    let m = mean xs in
+    sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) xs))
 
 let change now base =
   100.0 *. (float_of_int now -. float_of_int base) /. float_of_int (max 1 base)
@@ -135,25 +141,33 @@ let find doc ~program ~level ~machine =
     (fun r -> r.program = program && r.level = level && r.machine = machine)
     doc.rows
 
-(* Programs measured at all three levels on [machine] — a task that
-   failed under chaos drops out of every per-program comparison rather
-   than skewing it. *)
-let complete_programs doc machine =
-  List.filter
-    (fun p ->
-      List.for_all
-        (fun level -> find doc ~program:p ~level ~machine <> None)
-        levels)
+(* The (SIMPLE, LOOPS, JUMPS) rows of every program measured at all three
+   levels on [machine] — a task that failed under chaos drops out of
+   every per-program comparison rather than skewing it. *)
+let triples doc machine =
+  List.filter_map
+    (fun program ->
+      match
+        ( find doc ~program ~level:"SIMPLE" ~machine,
+          find doc ~program ~level:"LOOPS" ~machine,
+          find doc ~program ~level:"JUMPS" ~machine )
+      with
+      | Some s, Some l, Some j -> Some (program, (s, l, j))
+      | _ -> None)
     (programs doc)
 
-let triple doc ~program ~machine =
-  match
-    ( find doc ~program ~level:"SIMPLE" ~machine,
-      find doc ~program ~level:"LOOPS" ~machine,
-      find doc ~program ~level:"JUMPS" ~machine )
-  with
-  | Some s, Some l, Some j -> Some (s, l, j)
-  | _ -> None
+let complete_programs doc machine = List.map fst (triples doc machine)
+
+(* Mean of [f] over the complete programs' triples. *)
+let triple_mean doc machine f =
+  mean (List.map (fun (_, t) -> f t) (triples doc machine))
+
+(* [f] of every complete program's row, one list per level. *)
+let by_level doc machine f =
+  let ts = List.map snd (triples doc machine) in
+  ( List.map (fun (s, _, _) -> f s) ts,
+    List.map (fun (_, l, _) -> f l) ts,
+    List.map (fun (_, _, j) -> f j) ts )
 
 let cache doc ~program ~level ~machine ~kb ~ctx =
   Option.bind (find doc ~program ~level ~machine) (fun r ->
@@ -164,6 +178,24 @@ let cache_sizes doc =
   | [] -> []
   | r :: _ ->
     List.sort_uniq compare (List.map (fun c -> c.cr_size_kb) r.caches)
+
+(* Table 6 arithmetic: the mean over complete programs of the [level]
+   cache's delta vs SIMPLE — miss ratio in percentage points, fetch cost
+   in percent. *)
+let cache_delta doc machine ~kb ~ctx level what =
+  mean
+    (List.filter_map
+       (fun p ->
+         match
+           ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb ~ctx,
+             cache doc ~program:p ~level ~machine ~kb ~ctx )
+         with
+         | Some s, Some m -> (
+           match what with
+           | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
+           | `Cost -> Some (change m.cr_fetch s.cr_fetch))
+         | _ -> None)
+       (complete_programs doc machine))
 
 (* --- markdown rendering --- *)
 
@@ -176,213 +208,198 @@ let buf_table b header rows =
 
 let signed v = Printf.sprintf "%+.2f%%" v
 
-(* Table 5 shape: per-program percentage changes vs SIMPLE and their mean. *)
-let static_dynamic_section b doc =
-  Buffer.add_string b "## Static and dynamic instructions (Table 5 shape)\n\n";
-  Buffer.add_string b
-    "Per-program percentage change vs SIMPLE; the mean row averages the \
-     per-program changes (the paper's method).\n\n";
+let section render doc =
+  let b = Buffer.create 4096 in
+  render b doc;
+  Buffer.contents b
+
+(* One Table-5-shaped table per machine: for each field, the program's
+   SIMPLE value and its LOOPS/JUMPS percentage change, then a mean row
+   averaging the per-program changes (the paper's method). *)
+let growth_tables b doc header fields =
   List.iter
     (fun machine ->
       Buffer.add_string b (Printf.sprintf "### %s\n\n" machine);
-      let progs = complete_programs doc machine in
-      let rows =
-        List.filter_map
-          (fun p ->
-            Option.map
-              (fun (s, l, j) ->
-                [
-                  p;
-                  string_of_int s.static_instrs;
-                  signed (change l.static_instrs s.static_instrs);
-                  signed (change j.static_instrs s.static_instrs);
-                  string_of_int s.dyn_instrs;
-                  signed (change l.dyn_instrs s.dyn_instrs);
-                  signed (change j.dyn_instrs s.dyn_instrs);
-                ])
-              (triple doc ~program:p ~machine))
-          progs
+      let cells (s, l, j) =
+        List.concat_map
+          (fun f ->
+            [
+              string_of_int (f s);
+              signed (change (f l) (f s));
+              signed (change (f j) (f s));
+            ])
+          fields
       in
-      let avg f =
-        mean
-          (List.filter_map
-             (fun p -> Option.map f (triple doc ~program:p ~machine))
-             progs)
+      let mean_cells =
+        List.concat_map
+          (fun f ->
+            [
+              "";
+              signed (triple_mean doc machine (fun (s, l, _) -> change (f l) (f s)));
+              signed (triple_mean doc machine (fun (s, _, j) -> change (f j) (f s)));
+            ])
+          fields
       in
-      let mean_row =
-        [
-          "**mean**";
-          "";
-          signed (avg (fun (s, l, _) -> change l.static_instrs s.static_instrs));
-          signed (avg (fun (s, _, j) -> change j.static_instrs s.static_instrs));
-          "";
-          signed (avg (fun (s, l, _) -> change l.dyn_instrs s.dyn_instrs));
-          signed (avg (fun (s, _, j) -> change j.dyn_instrs s.dyn_instrs));
-        ]
-      in
-      buf_table b
-        [
-          "program"; "static SIMPLE"; "LOOPS"; "JUMPS"; "dynamic SIMPLE";
-          "LOOPS"; "JUMPS";
-        ]
-        (rows @ [ mean_row ]))
+      buf_table b ("program" :: header)
+        (List.map (fun (p, t) -> p :: cells t) (triples doc machine)
+        @ [ "**mean**" :: mean_cells ]))
     (machines doc)
+
+let table5 =
+  section (fun b doc ->
+      Buffer.add_string b "## Static and dynamic instructions (Table 5 shape)\n\n";
+      Buffer.add_string b
+        "Per-program percentage change vs SIMPLE; the mean row averages the \
+         per-program changes (the paper's method).\n\n";
+      growth_tables b doc
+        [ "static SIMPLE"; "LOOPS"; "JUMPS"; "dynamic SIMPLE"; "LOOPS"; "JUMPS" ]
+        [ (fun r -> r.static_instrs); (fun r -> r.dyn_instrs) ])
 
 (* Static code size in bytes.  On RISC this is 4x the static instruction
    count; on CISC it reflects the variable-length encodings, including
    the branch-displacement plans, so the column moves when displacement
-   selection shortens branches. *)
-let code_size_section b doc =
-  let have_bytes = List.for_all (fun r -> r.code_bytes > 0) doc.rows in
-  if have_bytes then begin
-    Buffer.add_string b "## Static code size (bytes)\n\n";
-    Buffer.add_string b
-      "Per-program percentage change vs SIMPLE.  CISC sizes use the \
-       variable-length encoding model with branch-displacement selection; \
-       RISC instructions are fixed at four bytes.\n\n";
-    List.iter
-      (fun machine ->
-        Buffer.add_string b (Printf.sprintf "### %s\n\n" machine);
-        let progs = complete_programs doc machine in
-        let rows =
-          List.filter_map
-            (fun p ->
-              Option.map
-                (fun (s, l, j) ->
-                  [
-                    p;
-                    string_of_int s.code_bytes;
-                    signed (change l.code_bytes s.code_bytes);
-                    signed (change j.code_bytes s.code_bytes);
-                  ])
-                (triple doc ~program:p ~machine))
-            progs
-        in
-        let avg f =
-          mean
-            (List.filter_map
-               (fun p -> Option.map f (triple doc ~program:p ~machine))
-               progs)
-        in
-        let mean_row =
-          [
-            "**mean**";
-            "";
-            signed (avg (fun (s, l, _) -> change l.code_bytes s.code_bytes));
-            signed (avg (fun (s, _, j) -> change j.code_bytes s.code_bytes));
-          ]
-        in
-        buf_table b
-          [ "program"; "bytes SIMPLE"; "LOOPS"; "JUMPS" ]
-          (rows @ [ mean_row ]))
-      (machines doc)
-  end
+   selection shortens branches.  Empty for documents without sizes. *)
+let code_size =
+  section (fun b doc ->
+      if List.for_all (fun r -> r.code_bytes > 0) doc.rows then begin
+        Buffer.add_string b "## Static code size (bytes)\n\n";
+        Buffer.add_string b
+          "Per-program percentage change vs SIMPLE.  CISC sizes use the \
+           variable-length encoding model with branch-displacement \
+           selection; RISC instructions are fixed at four bytes.\n\n";
+        growth_tables b doc
+          [ "bytes SIMPLE"; "LOOPS"; "JUMPS" ]
+          [ (fun r -> r.code_bytes) ]
+      end)
 
-(* Table 4 shape: average percent of instructions that are unconditional
-   jumps. *)
-let ujumps_section b doc =
-  Buffer.add_string b "## Unconditional jumps (Table 4 shape)\n\n";
-  let cell machine f =
-    String.concat " / "
-      (List.map
-         (fun level ->
-           let vals =
-             List.filter_map
-               (fun p ->
-                 Option.map f (find doc ~program:p ~level ~machine))
-               (complete_programs doc machine)
-           in
-           Printf.sprintf "%.2f" (mean vals))
-         levels)
-  in
-  buf_table b
-    [ "machine"; "static % (SIMPLE/LOOPS/JUMPS)"; "dynamic % (SIMPLE/LOOPS/JUMPS)" ]
-    (List.map
-       (fun machine ->
-         [
-           machine;
-           cell machine (fun r -> pct r.static_ujumps r.static_instrs);
-           cell machine (fun r -> pct r.dyn_ujumps r.dyn_instrs);
-         ])
-       (machines doc))
+(* Table 4 shape: percent of instructions that are unconditional jumps,
+   mean and population standard deviation over programs. *)
+let table4 =
+  section (fun b doc ->
+      Buffer.add_string b "## Unconditional jumps (Table 4 shape)\n\n";
+      let cell stat (s, l, j) =
+        String.concat " / "
+          (List.map (fun vs -> Printf.sprintf "%.2f" (stat vs)) [ s; l; j ])
+      in
+      buf_table b
+        [
+          "machine"; "statistic"; "static % (SIMPLE/LOOPS/JUMPS)";
+          "dynamic % (SIMPLE/LOOPS/JUMPS)";
+        ]
+        (List.concat_map
+           (fun machine ->
+             let static =
+               by_level doc machine (fun r -> pct r.static_ujumps r.static_instrs)
+             and dynamic =
+               by_level doc machine (fun r -> pct r.dyn_ujumps r.dyn_instrs)
+             in
+             List.map
+               (fun (name, stat) ->
+                 [ machine; name; cell stat static; cell stat dynamic ])
+               [ ("mean", mean); ("stddev", stddev) ])
+           (machines doc)))
 
-(* Table 6 shape: miss-ratio delta in percentage points and fetch-cost
-   delta in percent, vs SIMPLE, averaged over programs (ctx switching
-   off). *)
-let cache_section b doc =
-  Buffer.add_string b "## Instruction cache (Table 6 shape, ctx switching off)\n\n";
-  let sizes = cache_sizes doc in
-  let delta machine kb level what =
-    mean
-      (List.filter_map
-         (fun p ->
-           match
-             ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb ~ctx:false,
-               cache doc ~program:p ~level ~machine ~kb ~ctx:false )
-           with
-           | Some s, Some m -> (
-             match what with
-             | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
-             | `Cost -> Some (change m.cr_fetch s.cr_fetch))
-           | _ -> None)
-         (complete_programs doc machine))
-  in
-  let header =
-    "machine"
-    :: List.map (fun kb -> Printf.sprintf "%dKb LOOPS / JUMPS" kb) sizes
-  in
-  List.iter
-    (fun what ->
-      Buffer.add_string b
-        (match what with
-        | `Miss -> "Miss ratio delta (percentage points):\n\n"
-        | `Cost -> "Fetch cost delta (percent):\n\n");
-      buf_table b header
+(* Table 6 shape: miss-ratio and fetch-cost deltas vs SIMPLE per cache
+   size, context switching off and on. *)
+let table6 =
+  section (fun b doc ->
+      Buffer.add_string b "## Instruction cache (Table 6 shape)\n\n";
+      let sizes = cache_sizes doc in
+      let header =
+        "machine" :: "ctx switching"
+        :: List.map (fun kb -> Printf.sprintf "%dKb LOOPS / JUMPS" kb) sizes
+      in
+      List.iter
+        (fun what ->
+          Buffer.add_string b
+            (match what with
+            | `Miss -> "Miss ratio delta (percentage points):\n\n"
+            | `Cost -> "Fetch cost delta (percent):\n\n");
+          buf_table b header
+            (List.concat_map
+               (fun machine ->
+                 List.map
+                   (fun ctx ->
+                     machine
+                     :: (if ctx then "on" else "off")
+                     :: List.map
+                          (fun kb ->
+                            let d level = cache_delta doc machine ~kb ~ctx level what in
+                            Printf.sprintf "%+.2f / %+.2f" (d "LOOPS") (d "JUMPS"))
+                          sizes)
+                   [ false; true ])
+               (machines doc)))
+        [ `Miss; `Cost ])
+
+(* Section 5.2: dynamic instructions between branches, and the executed
+   no-ops JUMPS removes (machines without delay slots execute none and
+   are left out). *)
+let section52 =
+  section (fun b doc ->
+      Buffer.add_string b "## Section 5.2 statistics\n\n";
+      Buffer.add_string b "Mean dynamic instructions between branches:\n\n";
+      buf_table b
+        [ "machine"; "SIMPLE"; "LOOPS"; "JUMPS" ]
         (List.map
            (fun machine ->
+             let s, l, j = by_level doc machine (fun r -> r.ibb) in
              machine
-             :: List.map
-                  (fun kb ->
-                    Printf.sprintf "%+.2f / %+.2f"
-                      (delta machine kb "LOOPS" what)
-                      (delta machine kb "JUMPS" what))
-                  sizes)
-           (machines doc)))
-    [ `Miss; `Cost ]
+             :: List.map (fun vs -> Printf.sprintf "%.2f" (mean vs)) [ s; l; j ])
+           (machines doc));
+      let nops =
+        List.filter_map
+          (fun machine ->
+            let s, _, j = by_level doc machine (fun r -> r.dyn_nops) in
+            let s = List.fold_left ( + ) 0 s and j = List.fold_left ( + ) 0 j in
+            if s = 0 then None
+            else
+              Some
+                [
+                  machine;
+                  string_of_int s;
+                  string_of_int j;
+                  Printf.sprintf "%.1f%%"
+                    (100.0 *. float_of_int (s - j) /. float_of_int s);
+                ])
+          (machines doc)
+      in
+      if nops <> [] then begin
+        Buffer.add_string b "Executed no-ops, summed over programs:\n\n";
+        buf_table b [ "machine"; "SIMPLE"; "JUMPS"; "eliminated" ] nops
+      end)
 
-let verdict_section b doc =
-  let bad = List.filter (fun r -> r.timed_out || not r.output_ok) doc.rows in
-  Buffer.add_string b
-    (Printf.sprintf "%d measurements (%d programs x %d machines); %s\n\n"
-       (List.length doc.rows)
-       (List.length (programs doc))
-       (List.length (machines doc))
-       (if bad = [] then "all outputs verified."
-        else Printf.sprintf "%d FAILED verification:" (List.length bad)));
-  if bad <> [] then begin
-    List.iter
-      (fun r ->
-        Buffer.add_string b
-          (Printf.sprintf "- %s at %s on %s: %s\n" r.program r.level r.machine
-             (if r.timed_out then "TIMEOUT" else "MISMATCH")))
-      bad;
-    Buffer.add_char b '\n'
-  end;
-  if doc.counters <> [] then begin
-    Buffer.add_string b "Sweep counters:\n\n";
-    buf_table b [ "counter"; "value" ]
-      (List.map (fun (k, v) -> [ k; string_of_int v ]) doc.counters)
-  end
+let verdict =
+  section (fun b doc ->
+      let bad = List.filter (fun r -> r.timed_out || not r.output_ok) doc.rows in
+      Buffer.add_string b
+        (Printf.sprintf "%d measurements (%d programs x %d machines); %s\n\n"
+           (List.length doc.rows)
+           (List.length (programs doc))
+           (List.length (machines doc))
+           (if bad = [] then "all outputs verified."
+            else Printf.sprintf "%d FAILED verification:" (List.length bad)));
+      if bad <> [] then begin
+        List.iter
+          (fun r ->
+            Buffer.add_string b
+              (Printf.sprintf "- %s at %s on %s: %s\n" r.program r.level
+                 r.machine
+                 (if r.timed_out then "TIMEOUT" else "MISMATCH")))
+          bad;
+        Buffer.add_char b '\n'
+      end;
+      if doc.counters <> [] then begin
+        Buffer.add_string b "Sweep counters:\n\n";
+        buf_table b [ "counter"; "value" ]
+          (List.map (fun (k, v) -> [ k; string_of_int v ]) doc.counters)
+      end)
 
 let render ?(title = "Benchmark report") doc =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "# %s\n\n" title);
-  verdict_section b doc;
-  static_dynamic_section b doc;
-  code_size_section b doc;
-  ujumps_section b doc;
-  cache_section b doc;
-  Buffer.contents b
+  String.concat ""
+    (Printf.sprintf "# %s\n\n" title
+    :: List.map
+         (fun render -> render doc)
+         [ verdict; table5; code_size; table4; table6; section52 ])
 
 (* --- comparison of two sweeps --- *)
 
@@ -444,13 +461,7 @@ let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
   end;
   (* Headline aggregates side by side: the Table-5 means. *)
   let means d machine =
-    let progs = complete_programs d machine in
-    let avg f =
-      mean
-        (List.filter_map
-           (fun p -> Option.map f (triple d ~program:p ~machine))
-           progs)
-    in
+    let avg = triple_mean d machine in
     ( avg (fun (s, l, _) -> change l.static_instrs s.static_instrs),
       avg (fun (s, _, j) -> change j.static_instrs s.static_instrs),
       avg (fun (s, l, _) -> change l.dyn_instrs s.dyn_instrs),
@@ -489,17 +500,14 @@ let dat_files doc =
   let header cols = "# " ^ String.concat "\t" cols ^ "\n" in
   let growth machine =
     let rows =
-      List.filter_map
-        (fun p ->
-          Option.map
-            (fun (s, l, j) ->
-              Printf.sprintf "%s\t%.3f\t%.3f\t%.3f\t%.3f\n" p
-                (change l.static_instrs s.static_instrs)
-                (change j.static_instrs s.static_instrs)
-                (change l.dyn_instrs s.dyn_instrs)
-                (change j.dyn_instrs s.dyn_instrs))
-            (triple doc ~program:p ~machine))
-        (complete_programs doc machine)
+      List.map
+        (fun (p, (s, l, j)) ->
+          Printf.sprintf "%s\t%.3f\t%.3f\t%.3f\t%.3f\n" p
+            (change l.static_instrs s.static_instrs)
+            (change j.static_instrs s.static_instrs)
+            (change l.dyn_instrs s.dyn_instrs)
+            (change j.dyn_instrs s.dyn_instrs))
+        (triples doc machine)
     in
     ( Printf.sprintf "instrs_%s.dat" machine,
       header
@@ -513,22 +521,7 @@ let dat_files doc =
     let rows =
       List.map
         (fun kb ->
-          let d level what =
-            mean
-              (List.filter_map
-                 (fun p ->
-                   match
-                     ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb
-                         ~ctx:false,
-                       cache doc ~program:p ~level ~machine ~kb ~ctx:false )
-                   with
-                   | Some s, Some m -> (
-                     match what with
-                     | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
-                     | `Cost -> Some (change m.cr_fetch s.cr_fetch))
-                   | _ -> None)
-                 (complete_programs doc machine))
-          in
+          let d = cache_delta doc machine ~kb ~ctx:false in
           Printf.sprintf "%d\t%.4f\t%.4f\t%.4f\t%.4f\n" kb
             (d "LOOPS" `Miss) (d "JUMPS" `Miss) (d "LOOPS" `Cost)
             (d "JUMPS" `Cost))

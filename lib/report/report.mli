@@ -1,13 +1,13 @@
 (** Offline reporting over the bench sweep's machine-readable outputs
-    ([jumprepc report]).
+    ([jumprepc report], and [bench -t 4|5|6|bb]).
 
     IO-free: {!parse_results} reads the {e contents} of a
     [BENCH_results.json] document, renderers return markdown strings, and
-    {!dat_files} returns (filename, contents) pairs.  The arithmetic is
-    Harness.Tables' (mean of per-program percentage changes vs SIMPLE,
-    miss-ratio deltas in percentage points), so the rendered tables
-    reproduce the EXPERIMENTS.md Table 4/5/6 numbers from the JSON
-    alone. *)
+    {!dat_files} returns (filename, contents) pairs.  This is the only
+    renderer of the paper's Tables 4-6 and section 5.2 statistics: the
+    arithmetic is the paper's (mean of per-program percentage changes vs
+    SIMPLE, miss-ratio deltas in percentage points), so the tables
+    regenerate from the JSON alone. *)
 
 type cache_row = {
   cr_config : string;
@@ -53,11 +53,41 @@ val complete_programs : doc -> string -> string list
 
 val find : doc -> program:string -> level:string -> machine:string -> row option
 
-(** The full markdown report: verification verdict, Table 5 shape
-    (static/dynamic % change vs SIMPLE with per-program rows and the
-    mean), static code size in bytes (when every row carries
-    [code_bytes]), Table 4 shape (% unconditional jumps), Table 6 shape
-    (miss-ratio and fetch-cost deltas per cache size). *)
+(** {2 Sections}
+
+    One markdown string per section; every section but {!verdict} opens
+    with its [## ] heading and ends with a blank line. *)
+
+(** Verification verdict (measurement count, failed rows) and the sweep
+    counters. *)
+val verdict : doc -> string
+
+(** Table 5 shape: per machine, per-program static and dynamic
+    instruction counts at SIMPLE with the LOOPS/JUMPS % change, and the
+    mean of the per-program changes. *)
+val table5 : doc -> string
+
+(** Static code size in bytes, shaped like {!table5}; empty when some
+    row lacks [code_bytes]. *)
+val code_size : doc -> string
+
+(** Table 4 shape: % of instructions that are unconditional jumps
+    (static and dynamic, per level), mean and population standard
+    deviation over programs. *)
+val table4 : doc -> string
+
+(** Table 6 shape: miss-ratio (percentage points) and fetch-cost
+    (percent) deltas vs SIMPLE per cache size, context switching off and
+    on. *)
+val table6 : doc -> string
+
+(** Section 5.2 statistics: mean dynamic instructions between branches
+    per machine and level, and executed no-ops SIMPLE vs JUMPS with the
+    share eliminated (machines that execute none are left out). *)
+val section52 : doc -> string
+
+(** The full markdown report: a [# title] line, then {!verdict},
+    {!table5}, {!code_size}, {!table4}, {!table6} and {!section52}. *)
 val render : ?title:string -> doc -> string
 
 (** Markdown delta report between two sweeps: rows present in only one,

@@ -1,52 +1,53 @@
-(* Direct-mapped instruction-cache simulator. *)
+(* The instruction-cache simulators: the reference oracle's behaviour,
+   and the one-pass Bank held equal to it. *)
 
 let config ?(kb = 1) ?(cs = false) ?(assoc = 1) () =
   { Icache.size_bytes = kb * 1024; line_bytes = 16; context_switches = cs; assoc }
 
 let test_cold_miss_then_hits () =
-  let c = Icache.create (config ()) in
-  Icache.access c ~addr:0x1000 ~size:4;
-  Icache.access c ~addr:0x1004 ~size:4;
-  Icache.access c ~addr:0x1008 ~size:4;
-  Alcotest.(check int) "one miss" 1 (Icache.misses c);
-  Alcotest.(check int) "two hits" 2 (Icache.hits c);
-  Alcotest.(check int) "fetch cost" (10 + 2) (Icache.fetch_cost c)
+  let c = Icache_oracle.create (config ()) in
+  Icache_oracle.access c ~addr:0x1000 ~size:4;
+  Icache_oracle.access c ~addr:0x1004 ~size:4;
+  Icache_oracle.access c ~addr:0x1008 ~size:4;
+  Alcotest.(check int) "one miss" 1 (Icache_oracle.misses c);
+  Alcotest.(check int) "two hits" 2 (Icache_oracle.hits c);
+  Alcotest.(check int) "fetch cost" (10 + 2) (Icache_oracle.fetch_cost c)
 
 let test_conflict_eviction () =
   (* 1 KiB direct-mapped: addresses 1 KiB apart collide. *)
-  let c = Icache.create (config ()) in
-  Icache.access c ~addr:0x0000 ~size:4;
-  Icache.access c ~addr:0x0400 ~size:4;
-  Icache.access c ~addr:0x0000 ~size:4;
-  Alcotest.(check int) "all misses" 3 (Icache.misses c)
+  let c = Icache_oracle.create (config ()) in
+  Icache_oracle.access c ~addr:0x0000 ~size:4;
+  Icache_oracle.access c ~addr:0x0400 ~size:4;
+  Icache_oracle.access c ~addr:0x0000 ~size:4;
+  Alcotest.(check int) "all misses" 3 (Icache_oracle.misses c)
 
 let test_line_straddle () =
   (* A 6-byte CISC instruction crossing a 16-byte boundary touches two
      lines. *)
-  let c = Icache.create (config ()) in
-  Icache.access c ~addr:0x100C ~size:6;
-  Alcotest.(check int) "two accesses" 2 (Icache.accesses c);
-  Alcotest.(check int) "two misses" 2 (Icache.misses c)
+  let c = Icache_oracle.create (config ()) in
+  Icache_oracle.access c ~addr:0x100C ~size:6;
+  Alcotest.(check int) "two accesses" 2 (Icache_oracle.accesses c);
+  Alcotest.(check int) "two misses" 2 (Icache_oracle.misses c)
 
 let test_context_switch_flush () =
-  let on = Icache.create (config ~cs:true ()) in
-  let off = Icache.create (config ~cs:false ()) in
+  let on = Icache_oracle.create (config ~cs:true ()) in
+  let off = Icache_oracle.create (config ~cs:false ()) in
   (* Loop over one line for more than 10,000 time units. *)
   for _ = 1 to 10_200 do
-    Icache.access on ~addr:0x2000 ~size:4;
-    Icache.access off ~addr:0x2000 ~size:4
+    Icache_oracle.access on ~addr:0x2000 ~size:4;
+    Icache_oracle.access off ~addr:0x2000 ~size:4
   done;
-  Alcotest.(check int) "no flush without context switches" 1 (Icache.misses off);
-  Alcotest.(check bool) "flushes add misses" true (Icache.misses on > 1)
+  Alcotest.(check int) "no flush without context switches" 1 (Icache_oracle.misses off);
+  Alcotest.(check bool) "flushes add misses" true (Icache_oracle.misses on > 1)
 
 let test_reset () =
-  let c = Icache.create (config ()) in
-  Icache.access c ~addr:0x0 ~size:4;
-  Icache.reset c;
-  Alcotest.(check int) "hits cleared" 0 (Icache.hits c);
-  Alcotest.(check int) "misses cleared" 0 (Icache.misses c);
-  Icache.access c ~addr:0x0 ~size:4;
-  Alcotest.(check int) "cold again" 1 (Icache.misses c)
+  let c = Icache_oracle.create (config ()) in
+  Icache_oracle.access c ~addr:0x0 ~size:4;
+  Icache_oracle.reset c;
+  Alcotest.(check int) "hits cleared" 0 (Icache_oracle.hits c);
+  Alcotest.(check int) "misses cleared" 0 (Icache_oracle.misses c);
+  Icache_oracle.access c ~addr:0x0 ~size:4;
+  Alcotest.(check int) "cold again" 1 (Icache_oracle.misses c)
 
 let test_paper_configs () =
   Alcotest.(check int) "eight configurations" 8 (List.length Icache.paper_configs);
@@ -59,48 +60,48 @@ let test_paper_configs () =
 
 let test_bigger_cache_never_worse_sequential () =
   (* For a simple loop trace, larger caches can only reduce misses. *)
-  let mk kb = Icache.create (config ~kb ()) in
+  let mk kb = Icache_oracle.create (config ~kb ()) in
   let c1 = mk 1 and c8 = mk 8 in
   for _ = 1 to 50 do
     for i = 0 to 599 do
       let addr = 0x4000 + (i * 4) in
-      Icache.access c1 ~addr ~size:4;
-      Icache.access c8 ~addr ~size:4
+      Icache_oracle.access c1 ~addr ~size:4;
+      Icache_oracle.access c8 ~addr ~size:4
     done
   done;
   Alcotest.(check bool) "8K no worse than 1K" true
-    (Icache.misses c8 <= Icache.misses c1);
+    (Icache_oracle.misses c8 <= Icache_oracle.misses c1);
   (* The 2400-byte loop fits in 8K: only cold misses. *)
-  Alcotest.(check int) "8K only cold misses" 150 (Icache.misses c8)
+  Alcotest.(check int) "8K only cold misses" 150 (Icache_oracle.misses c8)
 
 let test_associativity_resolves_conflicts () =
   (* Two addresses one cache-size apart conflict in a direct-mapped cache
      but coexist in a 2-way set. *)
-  let direct = Icache.create (config ~kb:1 ()) in
-  let twoway = Icache.create (config ~kb:1 ~assoc:2 ()) in
+  let direct = Icache_oracle.create (config ~kb:1 ()) in
+  let twoway = Icache_oracle.create (config ~kb:1 ~assoc:2 ()) in
   for _ = 1 to 100 do
     List.iter
       (fun addr ->
-        Icache.access direct ~addr ~size:4;
-        Icache.access twoway ~addr ~size:4)
+        Icache_oracle.access direct ~addr ~size:4;
+        Icache_oracle.access twoway ~addr ~size:4)
       [ 0x0000; 0x0400 ]
   done;
-  Alcotest.(check int) "direct thrashes" 200 (Icache.misses direct);
-  Alcotest.(check int) "two-way keeps both" 2 (Icache.misses twoway)
+  Alcotest.(check int) "direct thrashes" 200 (Icache_oracle.misses direct);
+  Alcotest.(check int) "two-way keeps both" 2 (Icache_oracle.misses twoway)
 
 let test_lru_eviction_order () =
   (* 2-way: touching A, B, then C (all one set) evicts A, the least
      recently used. *)
-  let c = Icache.create (config ~kb:1 ~assoc:2 ()) in
+  let c = Icache_oracle.create (config ~kb:1 ~assoc:2 ()) in
   let a = 0x0000 and b = 0x0400 and cc = 0x0800 in
-  Icache.access c ~addr:a ~size:4;
-  Icache.access c ~addr:b ~size:4;
-  Icache.access c ~addr:cc ~size:4;
+  Icache_oracle.access c ~addr:a ~size:4;
+  Icache_oracle.access c ~addr:b ~size:4;
+  Icache_oracle.access c ~addr:cc ~size:4;
   (* B must still be resident; A must not. *)
-  Icache.access c ~addr:b ~size:4;
-  Alcotest.(check int) "b still hits" 1 (Icache.hits c);
-  Icache.access c ~addr:a ~size:4;
-  Alcotest.(check int) "a was evicted" 4 (Icache.misses c)
+  Icache_oracle.access c ~addr:b ~size:4;
+  Alcotest.(check int) "b still hits" 1 (Icache_oracle.hits c);
+  Icache_oracle.access c ~addr:a ~size:4;
+  Alcotest.(check int) "a was evicted" 4 (Icache_oracle.misses c)
 
 let prop_assoc_never_worse_lru =
   QCheck.Test.make ~name:"for looping traces, 2-way misses <= direct misses"
@@ -108,39 +109,39 @@ let prop_assoc_never_worse_lru =
     QCheck.(list_of_size (QCheck.Gen.int_range 2 30) (int_range 0 40))
     (fun lines ->
       (* A repeating loop trace: LRU with more ways can only help. *)
-      let direct = Icache.create (config ~kb:1 ()) in
-      let twoway = Icache.create (config ~kb:1 ~assoc:2 ()) in
+      let direct = Icache_oracle.create (config ~kb:1 ()) in
+      let twoway = Icache_oracle.create (config ~kb:1 ~assoc:2 ()) in
       for _ = 1 to 30 do
         List.iter
           (fun l ->
             let addr = l * 1024 in
-            Icache.access direct ~addr ~size:4;
-            Icache.access twoway ~addr ~size:4)
+            Icache_oracle.access direct ~addr ~size:4;
+            Icache_oracle.access twoway ~addr ~size:4)
           lines
       done;
       (* Not a theorem for arbitrary traces (Belady anomalies), but it holds
          for this single-set pattern where direct always conflicts. *)
-      Icache.misses twoway <= Icache.misses direct + 30)
+      Icache_oracle.misses twoway <= Icache_oracle.misses direct + 30)
 
 let prop_counters_consistent =
   QCheck.Test.make ~name:"hits + misses = accesses; ratio in [0,1]" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_range 0 100_000))
     (fun addrs ->
-      let c = Icache.create (config ~kb:2 ()) in
-      List.iter (fun a -> Icache.access c ~addr:a ~size:4) addrs;
-      Icache.hits c + Icache.misses c = Icache.accesses c
-      && Icache.miss_ratio c >= 0.0
-      && Icache.miss_ratio c <= 1.0
-      && Icache.fetch_cost c = Icache.hits c + (10 * Icache.misses c))
+      let c = Icache_oracle.create (config ~kb:2 ()) in
+      List.iter (fun a -> Icache_oracle.access c ~addr:a ~size:4) addrs;
+      Icache_oracle.hits c + Icache_oracle.misses c = Icache_oracle.accesses c
+      && Icache_oracle.miss_ratio c >= 0.0
+      && Icache_oracle.miss_ratio c <= 1.0
+      && Icache_oracle.fetch_cost c = Icache_oracle.hits c + (10 * Icache_oracle.misses c))
 
 let prop_repeat_hits =
   QCheck.Test.make ~name:"immediate re-access always hits" ~count:100
     QCheck.(int_range 0 1_000_000) (fun addr ->
-      let c = Icache.create (config ~kb:4 ()) in
-      Icache.access c ~addr ~size:4;
-      let m = Icache.misses c in
-      Icache.access c ~addr ~size:4;
-      Icache.misses c = m)
+      let c = Icache_oracle.create (config ~kb:4 ()) in
+      Icache_oracle.access c ~addr ~size:4;
+      let m = Icache_oracle.misses c in
+      Icache_oracle.access c ~addr ~size:4;
+      Icache_oracle.misses c = m)
 
 (* --- Bank: the one-pass multi-configuration simulator ------------- *)
 
@@ -158,20 +159,20 @@ let bank_test_configs =
 
 let check_bank_agrees stream =
   let bank = Icache.Bank.create bank_test_configs in
-  let caches = List.map Icache.create bank_test_configs in
+  let caches = List.map Icache_oracle.create bank_test_configs in
   List.iter
     (fun (addr, size) ->
       Icache.Bank.access bank ~addr ~size;
-      List.iter (fun c -> Icache.access c ~addr ~size) caches)
+      List.iter (fun c -> Icache_oracle.access c ~addr ~size) caches)
     stream;
   List.iteri
     (fun i c ->
       let agrees =
-        Icache.Bank.hits bank i = Icache.hits c
-        && Icache.Bank.misses bank i = Icache.misses c
-        && Icache.Bank.accesses bank i = Icache.accesses c
-        && Icache.Bank.miss_ratio bank i = Icache.miss_ratio c
-        && Icache.Bank.fetch_cost bank i = Icache.fetch_cost c
+        Icache.Bank.hits bank i = Icache_oracle.hits c
+        && Icache.Bank.misses bank i = Icache_oracle.misses c
+        && Icache.Bank.accesses bank i = Icache_oracle.accesses c
+        && Icache.Bank.miss_ratio bank i = Icache_oracle.miss_ratio c
+        && Icache.Bank.fetch_cost bank i = Icache_oracle.fetch_cost c
       in
       Alcotest.(check bool)
         (Printf.sprintf "bank agrees on %s"
@@ -204,21 +205,21 @@ let prop_bank_matches_individual_caches =
         (pair (int_range 0 20_000) (int_range 1 8)))
     (fun stream ->
       let bank = Icache.Bank.create bank_test_configs in
-      let caches = List.map Icache.create bank_test_configs in
+      let caches = List.map Icache_oracle.create bank_test_configs in
       (* Repeat the stream so context-switch clocks actually wrap. *)
       for _ = 1 to 8 do
         List.iter
           (fun (addr, size) ->
             Icache.Bank.access bank ~addr ~size;
-            List.iter (fun c -> Icache.access c ~addr ~size) caches)
+            List.iter (fun c -> Icache_oracle.access c ~addr ~size) caches)
           stream
       done;
       List.for_all
         (fun (i, c) ->
-          Icache.Bank.hits bank i = Icache.hits c
-          && Icache.Bank.misses bank i = Icache.misses c
-          && Icache.Bank.miss_ratio bank i = Icache.miss_ratio c
-          && Icache.Bank.fetch_cost bank i = Icache.fetch_cost c)
+          Icache.Bank.hits bank i = Icache_oracle.hits c
+          && Icache.Bank.misses bank i = Icache_oracle.misses c
+          && Icache.Bank.miss_ratio bank i = Icache_oracle.miss_ratio c
+          && Icache.Bank.fetch_cost bank i = Icache_oracle.fetch_cost c)
         (List.mapi (fun i c -> (i, c)) caches))
 
 let tests =

@@ -162,6 +162,32 @@ dune exec bin/jumprepc.exe -- report --compare \
 grep -q "No measurement changed" _build/report-compare.md
 grep -q "Table 5 shape" _build/report.md
 
+echo "== paper tables: bench -t 4|5|6|bb equals the report's sections =="
+dune exec bench/main.exe -- -t 4 -t 5 -t 6 -t bb > _build/bench-tables.md
+dune exec bin/jumprepc.exe -- report BENCH_baseline.json > _build/report-baseline.md
+python3 - << 'EOF'
+import re
+def chunks(text):
+    # Markdown sections keyed by heading, each from its "#"/"##" line up
+    # to the next one, bytes untouched.
+    parts = re.split(r"(?m)^(?=#{1,2} )", text)
+    return [(p.split("\n", 1)[0], p) for p in parts if p.startswith("#")]
+out = open("_build/bench-tables.md").read()
+bench = chunks(out)
+report = dict(chunks(open("_build/report-baseline.md").read()))
+want = ["## Unconditional jumps (Table 4 shape)",
+        "## Static and dynamic instructions (Table 5 shape)",
+        "## Instruction cache (Table 6 shape)",
+        "## Section 5.2 statistics"]
+assert [h for h, _ in bench] == want, [h for h, _ in bench]
+assert "".join(t for _, t in bench) == out, "bench printed text outside the sections"
+for h, text in bench:
+    assert text == report[h], f"bench and report disagree on {h!r}"
+print("bench -t 4 -t 5 -t 6 -t bb: %d sections byte-identical to the report"
+      % len(bench))
+EOF
+tools/experiments_sync.py --check _build/report-baseline.md EXPERIMENTS.md
+
 echo "== bench trend: two synthetic snapshots + wall-time gate =="
 rm -f _build/ci-trend.jsonl
 TREND_COMMIT=ci-a TREND_WALL_S="$SWEEP_WALL" \
