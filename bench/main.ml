@@ -287,12 +287,11 @@ let cold_sweep ~jobs ?deadline ?retries ?chaos ~profile ~profile_out
     Harness.Measure.run_many ~log ~profiler ?trace ~metrics:pool_metrics ~jobs
       ?deadline ?retries ?chaos tasks
   in
-  (* The supervising domain's decode/compile cache tallies (workers'
-     shards are domain-local and die with their domain; a -j 1 sweep sees
-     the full picture).  They live beside the pool tallies, never in the
-     sweep log — the results document must not depend on scheduling. *)
+  (* The supervising domain's sim-cache tallies (workers' shards are
+     domain-local and die with their domain; a -j 1 sweep sees the full
+     picture).  They live beside the pool tallies, never in the sweep
+     log — the results document must not depend on scheduling. *)
   Sim.Interp.publish_cache_metrics pool_metrics;
-  Sim.Engine.publish_cache_metrics pool_metrics;
   let failures = Harness.Measure.task_failures () in
   if profiling then begin
     Telemetry.Profiler.pp_table ~top:profile_top Format.std_formatter profiler;

@@ -369,21 +369,21 @@ let run_cmd =
       | None -> Option.value ~default:"" input
     in
     let on_fetch =
-      match trace with
-      | None -> fun ~addr:_ ~size:_ -> ()
-      | Some n ->
-        let by_addr = Sim.Asm.addr_index asm in
-        let left = ref n in
-        fun ~addr ~size:_ ->
-          if !left > 0 then begin
-            decr left;
-            let fname, i = Hashtbl.find by_addr addr in
-            Printf.eprintf "%06x %-12s %s\n" addr fname
-              (Ir.Rtl.instr_to_string i)
-          end
+      Option.map
+        (fun n ->
+          let by_addr = Sim.Asm.addr_index asm in
+          let left = ref n in
+          fun ~addr ~size:_ ->
+            if !left > 0 then begin
+              decr left;
+              let fname, i = Hashtbl.find by_addr addr in
+              Printf.eprintf "%06x %-12s %s\n" addr fname
+                (Ir.Rtl.instr_to_string i)
+            end)
+        trace
     in
     let res =
-      try Sim.Engine.run ~input ~on_fetch ~log ?max_steps ?budget asm prog with
+      try Sim.Engine.run ~input ?on_fetch ~log ?max_steps ?budget asm prog with
       | Sim.Interp.Runtime_error msg ->
         Printf.eprintf "%s: runtime error: %s\n" path msg;
         exit 2

@@ -178,25 +178,13 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
   in
   let asm = Sim.Asm.assemble machine prog in
   let bank = Icache.Bank.create Icache.paper_configs in
-  (* Cache-bank time is measured inside the fetch hook so it attributes
-     only the bank's own work; gettimeofday is vDSO-cheap and the timed
-     hook exists only under --profile. *)
-  let cache_s = ref 0.0 in
-  let on_fetch =
-    if profiling then (fun ~addr ~size ->
-      let t0 = Unix.gettimeofday () in
-      let r = Icache.Bank.access bank ~addr ~size in
-      cache_s := !cache_s +. (Unix.gettimeofday () -. t0);
-      r)
-    else fun ~addr ~size -> Icache.Bank.access bank ~addr ~size
-  in
   (* The pool's deadline budget feeds only the interpreter (its fuel
      accounting doubles as the poll point): a cancelled run raises
      [Budget.Exhausted] and surfaces as a pool-level [Timed_out] outcome,
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
   let interp_t0 = Unix.gettimeofday () in
-  let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
+  let res = Sim.Engine.run ~input:b.input ~bank ~log ?budget asm prog in
   let interp_ms = (Unix.gettimeofday () -. interp_t0) *. 1e3 in
   let m =
     {
@@ -248,7 +236,6 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
            (Opt.Driver.level_name level)
            machine.Ir.Machine.short)
       ~fuel:res.counts.total ~interp_ms
-      ~cache_ms:(!cache_s *. 1e3)
   end;
   m
 

@@ -128,7 +128,7 @@ let ablation_cap ppf =
   Fmt.pf ppf
     "Ablation (paper \xc2\xa76): bounded replication-sequence length@.@.";
   Fmt.pf ppf "%-10s %12s %12s %14s@." "cap(RTLs)" "static" "dynamic"
-    "dyn ujumps %%";
+    "dyn ujumps %";
   List.iter
     (fun cap ->
       let opts =
@@ -147,7 +147,7 @@ let ablation_cap ppf =
 let ablation_heuristic ppf =
   Fmt.pf ppf "Ablation: step-2 candidate heuristic (RISC)@.@.";
   Fmt.pf ppf "%-16s %12s %12s %14s@." "heuristic" "static" "dynamic"
-    "dyn ujumps %%";
+    "dyn ujumps %";
   List.iter
     (fun (name, h) ->
       let opts =
@@ -191,8 +191,7 @@ let ablation_assoc ppf =
     in
     let asm = Sim.Asm.assemble machine prog in
     let bank = Icache.Bank.create bank_configs in
-    let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
-    let res = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
+    let res = Sim.Engine.run ~input:b.input ~bank asm prog in
     if res.timed_out || not (String.equal res.output b.expected_output) then
       failwith
         (Printf.sprintf "associativity ablation: %s at %s on %s: %s" b.name

@@ -30,13 +30,33 @@ let config_name c =
 
 (* A bank feeds one fetch stream to many configurations in a single pass.
    Per-cache state lives in flat int arrays indexed by a per-config
-   offset, and the hit/LRU scan is a plain loop over ints, so an access
-   allocates nothing — unlike a [List.iter] over per-config caches,
-   which pays a closure call and cache-line scatter per config.  The update rules are
-   those of a straightforward one-cache-per-config simulator (the test
-   suite's oracle), quirks included (the per-line flush check,
-   tick-then-scan ordering, and the last-free-way-wins LRU choice), so a
-   bank's statistics are equal to running each config separately. *)
+   offset, so an access allocates nothing.  The update rules are those
+   of a straightforward one-cache-per-config simulator (the test suite's
+   oracle), quirks included (the per-line flush check, tick-then-scan
+   ordering, and the last-free-way-wins LRU choice), so a bank's
+   statistics are equal to running each config separately.
+
+   Banks whose configs are all direct-mapped with one power-of-two line
+   size (every paper sweep) take the uniform path, which keeps only
+   misses:
+
+   - Every line access probes every config, so one shared [probes]
+     count is each config's access count: hits = probes - misses, and
+     with [hit_cost = 1] a config's time is probes + 9 * misses.
+   - Direct-mapped caches with one line size and power-of-two set
+     counts obey inclusion (Mattson et al., 1970): a line resident in a
+     cache is resident in every larger one fed the same stream.  So the
+     ctx-off configs are probed smallest first and the probe stops at
+     the first hit.
+   - A ctx-on config's flush comes due at a fixed probe count until it
+     next misses; [flush_due] is the least of those, so one compare
+     per access stands in for the per-config flush checks.
+   - "Hit in every config" is one tag compare.  The line hits in the
+     smallest ctx-off cache, so in every cache at least as large; and
+     when it was last probed no earlier than the latest ctx-on flush,
+     every ctx-on cache has held it since.  That needs the smallest
+     config to be ctx-off; otherwise every line change probes each
+     config. *)
 module Bank = struct
   type bank = {
     configs : config array;
@@ -52,24 +72,31 @@ module Bank = struct
         (** line shift shared by {e all} configs when every one is
             direct-mapped with the same power-of-two line size and a
             power-of-two set count (the paper's eight geometries); -1
-            otherwise.  Gates the fast path in [access]. *)
+            otherwise.  Selects the uniform path. *)
     tags : int array;
     stamps : int array;
+        (** general path: LRU timestamps.  Uniform path: for the slice
+            of the smallest ctx-off config, the probe count at which the
+            slot's line was last probed by a slow access (never later
+            than its true last probe, which is all the hit check needs) *)
     ticks : int array;
-    bhits : int array;
+    bhits : int array;  (** general path only *)
     bmisses : int array;
-    times : int array;
+    times : int array;  (** general path only *)
     next_flush : int array;
-    (* Same-line run memo (uniform banks only).  After any access, the
-       last line touched is resident in every config, so a following
-       fetch confined to that line is a guaranteed hit everywhere — it
-       can be tallied with one counter bump instead of a config loop.
-       [pending] holds such unmaterialized hits (one per config each);
-       [headroom] bounds the run so no context-switch flush comes due
-       while the per-config [times] are stale. *)
-    mutable last_line : int;
-    mutable pending : int;
-    mutable headroom : int;
+    (* Uniform path. *)
+    on_idx : int array;  (** ctx-on configs *)
+    off_chain : int array;  (** ctx-off configs, smallest first *)
+    all_hit_base : int;
+        (** [offsets] of the smallest ctx-off config when no config is
+            smaller, else -1: no O(1) all-hit check *)
+    all_hit_mask : int;
+    due : int array;  (** ctx-on config [i] flushes at probe [due.(i)] *)
+    mutable probes : int;
+    mutable flush_due : int;
+        (** probe count of the next flush check: the least [due] over
+            ctx-on configs once checked *)
+    mutable last_flush : int;  (** probe count at the latest ctx-on flush *)
   }
 
   type t = bank
@@ -120,6 +147,23 @@ module Bank = struct
       then line_shift.(0)
       else -1
     in
+    let indices p = List.filter p (List.init n Fun.id) in
+    let on_idx = Array.of_list (indices (fun i -> ctx.(i))) in
+    let off_chain =
+      Array.of_list
+        (List.stable_sort
+           (fun a b -> compare num_sets.(a) num_sets.(b))
+           (indices (fun i -> not ctx.(i))))
+    in
+    (* The smallest ctx-off config can answer "hit everywhere" only when
+       no config is smaller. *)
+    let all_hit_base, all_hit_mask =
+      if
+        Array.length off_chain > 0
+        && Array.for_all (fun s -> s >= num_sets.(off_chain.(0))) num_sets
+      then (offsets.(off_chain.(0)), set_mask.(off_chain.(0)))
+      else (-1, 0)
+    in
     {
       configs;
       offsets;
@@ -138,9 +182,14 @@ module Bank = struct
       bmisses = Array.make n 0;
       times = Array.make n 0;
       next_flush = Array.make n flush_interval;
-      last_line = -1;
-      pending = 0;
-      headroom = 0;
+      on_idx;
+      off_chain;
+      all_hit_base;
+      all_hit_mask;
+      due = Array.make n flush_interval;
+      probes = 0;
+      flush_due = flush_interval;
+      last_flush = 0;
     }
 
   let reset t =
@@ -152,89 +201,109 @@ module Bank = struct
     Array.fill t.bmisses 0 n 0;
     Array.fill t.times 0 n 0;
     Array.fill t.next_flush 0 n flush_interval;
-    t.last_line <- -1;
-    t.pending <- 0;
-    t.headroom <- 0
+    Array.fill t.due 0 n flush_interval;
+    t.probes <- 0;
+    t.flush_due <- flush_interval;
+    t.last_flush <- 0
 
-  (* Materialize the memoized same-line hits into the per-config
-     statistics.  Every statistics reader and every slow-path access
-     goes through here first, so the counters observable from outside
-     are always exact. *)
-  let settle t =
-    let p = t.pending in
-    if p > 0 then begin
-      t.pending <- 0;
-      for i = 0 to Array.length t.configs - 1 do
-        t.bhits.(i) <- t.bhits.(i) + p;
-        t.times.(i) <- t.times.(i) + (p * hit_cost)
-      done
-    end
+  let extra_miss_cost = miss_cost - hit_cost
 
-  (* How many consecutive guaranteed hits are safe before some
-     context-switching config's flush comes due.  Conservative (integer
-     division rounds down), which only sends us to the slow path a hair
-     early. *)
-  let compute_headroom t =
-    let n = Array.length t.configs in
-    let h = ref max_int in
-    for i = 0 to n - 1 do
-      if t.ctx.(i) then begin
-        let room = (t.next_flush.(i) - t.times.(i)) / hit_cost in
-        if room < !h then h := room
+  (* Flush every ctx-on config whose time has reached its next switch
+     (time = probes + 9 * misses, so config [i] is due at probe
+     [next_flush - 9 * misses]), then recompute [flush_due]. *)
+  let flush_due_configs t =
+    let k = t.probes in
+    let flush_due = ref max_int in
+    Array.iter
+      (fun i ->
+        if k >= t.due.(i) then begin
+          Array.fill t.tags t.offsets.(i) t.lines_per.(i) (-1);
+          let time = k + (extra_miss_cost * t.bmisses.(i)) in
+          while t.next_flush.(i) <= time do
+            t.next_flush.(i) <- t.next_flush.(i) + flush_interval
+          done;
+          t.due.(i) <- t.next_flush.(i) - (extra_miss_cost * t.bmisses.(i));
+          t.last_flush <- k
+        end;
+        if t.due.(i) < !flush_due then flush_due := t.due.(i))
+      t.on_idx;
+    t.flush_due <- !flush_due
+
+  (* One line access probing config by config.  Indices are in range by
+     construction: [set_mask.(i)] masks the line into [0, num_sets),
+     and [offsets.(i) + set] stays inside config [i]'s slice. *)
+  let probe_line t line =
+    if t.probes >= t.flush_due then flush_due_configs t;
+    let tags = t.tags and offsets = t.offsets and set_mask = t.set_mask in
+    let misses = t.bmisses in
+    let on_idx = t.on_idx in
+    for j = 0 to Array.length on_idx - 1 do
+      let i = Array.unsafe_get on_idx j in
+      let slot = Array.unsafe_get offsets i + (line land Array.unsafe_get set_mask i) in
+      if Array.unsafe_get tags slot <> line then begin
+        Array.unsafe_set tags slot line;
+        Array.unsafe_set misses i (Array.unsafe_get misses i + 1);
+        let d = Array.unsafe_get t.due i - extra_miss_cost in
+        Array.unsafe_set t.due i d;
+        if d < t.flush_due then t.flush_due <- d
       end
     done;
-    if !h = max_int then max_int else max 0 !h
-
-  (* All-direct-mapped banks (every paper sweep) take this path: the
-     line range is computed once instead of per config, the tags index
-     is one add, and the LRU timestamps are not maintained — a
-     direct-mapped set never consults them, so hits/misses/times are
-     unchanged (the Bank-vs-singleton equivalence tests hold this to
-     account).  Indices are in range by construction: [set_mask.(i)]
-     masks the line into [0, num_sets), and [offsets.(i) + set] stays
-     inside config [i]'s slice of [tags]. *)
-  let access_uniform t ~first ~last =
-    let tags = t.tags in
-    let slow_path = first <> last || first <> t.last_line || t.headroom <= 0 in
-    if not slow_path then begin
-      (* The whole fetch stays in the line every config just loaded:
-         one hit per config, deferred into [pending]. *)
-      t.pending <- t.pending + 1;
-      t.headroom <- t.headroom - 1
-    end
-    else begin
-    settle t;
-    let offsets = t.offsets and set_mask = t.set_mask in
-    let bhits = t.bhits and bmisses = t.bmisses and times = t.times in
-    let ctx = t.ctx and next_flush = t.next_flush in
-    let n = Array.length t.configs in
-    for line = first to last do
-      for i = 0 to n - 1 do
-        if Array.unsafe_get ctx i
-           && Array.unsafe_get times i >= Array.unsafe_get next_flush i
-        then begin
-          Array.fill tags t.offsets.(i) t.lines_per.(i) (-1);
-          while next_flush.(i) <= times.(i) do
-            next_flush.(i) <- next_flush.(i) + flush_interval
-          done
-        end;
-        let base =
-          Array.unsafe_get offsets i + (line land Array.unsafe_get set_mask i)
-        in
-        if Array.unsafe_get tags base = line then begin
-          Array.unsafe_set bhits i (Array.unsafe_get bhits i + 1);
-          Array.unsafe_set times i (Array.unsafe_get times i + hit_cost)
-        end
-        else begin
-          Array.unsafe_set tags base line;
-          Array.unsafe_set bmisses i (Array.unsafe_get bmisses i + 1);
-          Array.unsafe_set times i (Array.unsafe_get times i + miss_cost)
-        end
-      done
+    let chain = t.off_chain in
+    let j = ref 0 in
+    while !j < Array.length chain do
+      let i = Array.unsafe_get chain !j in
+      let slot = Array.unsafe_get offsets i + (line land Array.unsafe_get set_mask i) in
+      if Array.unsafe_get tags slot = line then
+        (* Inclusion: every larger ctx-off cache hits too. *)
+        j := Array.length chain
+      else begin
+        Array.unsafe_set tags slot line;
+        Array.unsafe_set misses i (Array.unsafe_get misses i + 1);
+        incr j
+      end
     done;
-    t.last_line <- last;
-    t.headroom <- compute_headroom t
+    if t.all_hit_base >= 0 then
+      Array.unsafe_set t.stamps (t.all_hit_base + (line land t.all_hit_mask)) t.probes;
+    t.probes <- t.probes + 1
+
+  (* The O(1) answer to "would [line] hit in every config, with no flush
+     due now?" — false when unsure, never wrongly true. *)
+  let hits_everywhere t line =
+    let base = t.all_hit_base in
+    base >= 0
+    && t.probes < t.flush_due
+    &&
+    let slot = base + (line land t.all_hit_mask) in
+    Array.unsafe_get t.tags slot = line
+    && Array.unsafe_get t.stamps slot >= t.last_flush
+
+  let access_line t line =
+    if hits_everywhere t line then t.probes <- t.probes + 1 else probe_line t line
+
+  (* [count] more accesses to [line], which the last access left
+     resident in every config: each hits everywhere unless a flush
+     comes due first. *)
+  let rec repeat_line t line count =
+    if count > 0 then begin
+      let room = t.flush_due - t.probes in
+      if room >= count then t.probes <- t.probes + count
+      else begin
+        let room = max room 0 in
+        t.probes <- t.probes + room;
+        probe_line t line;
+        repeat_line t line (count - room - 1)
+      end
     end
+
+  let access_run t ~line ~count =
+    if t.uniform_shift < 0 then invalid_arg "Icache.Bank.access_run: not a uniform bank";
+    if count > 0 then
+      if t.probes + count <= t.flush_due && hits_everywhere t line then
+        t.probes <- t.probes + count
+      else begin
+        access_line t line;
+        repeat_line t line (count - 1)
+      end
 
   let access_general t ~addr ~span =
     let tags = t.tags and stamps = t.stamps in
@@ -309,31 +378,28 @@ module Bank = struct
     done
 
   let access t ~addr ~size =
-    let span = max 1 size - 1 in
+    let span = if size > 1 then size - 1 else 0 in
     let sh = t.uniform_shift in
-    if sh >= 0 then
-      access_uniform t ~first:(addr asr sh) ~last:((addr + span) asr sh)
+    if sh >= 0 then begin
+      let first = addr asr sh and last = (addr + span) asr sh in
+      if first = last then access_line t first
+      else
+        for line = first to last do
+          access_line t line
+        done
+    end
     else access_general t ~addr ~span
 
+  let line_shift t = if t.uniform_shift >= 0 then Some t.uniform_shift else None
   let configs t = t.configs
-
-  let hits t i =
-    settle t;
-    t.bhits.(i)
-
-  let misses t i =
-    settle t;
-    t.bmisses.(i)
-
-  let accesses t i =
-    settle t;
-    t.bhits.(i) + t.bmisses.(i)
+  let uniform t = t.uniform_shift >= 0
+  let misses t i = t.bmisses.(i)
+  let accesses t i = if uniform t then t.probes else t.bhits.(i) + t.bmisses.(i)
+  let hits t i = accesses t i - misses t i
 
   let miss_ratio t i =
     let n = accesses t i in
-    if n = 0 then 0.0 else float_of_int t.bmisses.(i) /. float_of_int n
+    if n = 0 then 0.0 else float_of_int (misses t i) /. float_of_int n
 
-  let fetch_cost t i =
-    settle t;
-    (t.bhits.(i) * hit_cost) + (t.bmisses.(i) * miss_cost)
+  let fetch_cost t i = (hits t i * hit_cost) + (misses t i * miss_cost)
 end

@@ -32,13 +32,35 @@ val config_name : config -> string
     access allocates nothing.  Statistics per configuration are equal to
     feeding the same stream through a dedicated single-cache simulator —
     a property the test suite checks against random streams, with the
-    reference simulator as the oracle. *)
+    reference simulator as the oracle.
+
+    When every configuration is direct-mapped with one power-of-two line
+    size (the paper's eight), the bank keeps only misses plus one shared
+    probe count, probes the caches without context switches smallest
+    first (a direct-mapped cache holds every line a smaller one of the
+    same line size holds), and answers "hit in every configuration" with
+    one tag compare when the smallest configuration switches no
+    contexts.  A fetch that stays in cached lines then costs a few
+    loads, whether or not it changes line.  Other banks probe each
+    configuration per line. *)
 module Bank : sig
   type t
 
   val create : config list -> t
   val reset : t -> unit
   val access : t -> addr:int -> size:int -> unit
+
+  (** [Some s] when every configuration is direct-mapped with lines of
+      [1 lsl s] bytes and a power-of-two set count: the banks that take
+      {!access_run}. *)
+  val line_shift : t -> int option
+
+  (** [access_run t ~line ~count] is [count] fetches that each lie
+      within line [line] (an address shifted right by the bank's
+      {!line_shift}): the same statistics as those [count] calls of
+      {!access}, for the price of about one.
+      @raise Invalid_argument on a bank without a {!line_shift}. *)
+  val access_run : t -> line:int -> count:int -> unit
 
   (** Configurations in creation order; the [int] arguments below index
       this array. *)

@@ -24,7 +24,9 @@ module D = Interp.Decoded
    - [on_fetch] fires once per executed instruction, in execution
      order, interleaved with the instruction effects exactly as the
      reference interleaves them — a faulting run's fetch stream is the
-     precise prefix, not a superblock's worth of prefetch;
+     precise prefix, not a superblock's worth of prefetch (a [bank]
+     given alone takes each prefix's fetches as line runs ahead of its
+     effects: the same statistics for every run that returns);
    - [Sim_progress] heartbeats carry the same instruction counts
      (tracked by a next-multiple threshold instead of a per-step
      modulus);
@@ -63,6 +65,10 @@ type state = {
   counts : Interp.counts;
   fetch : addr:int -> size:int -> unit;
   fetch_on : bool;
+  bank : Icache.Bank.t;
+  line_runs : bool;
+      (** straight-line prefixes feed [bank] their line runs instead of
+          calling [fetch] per instruction *)
   mutable steps_left : int;
   log : Telemetry.Log.t;
   log_on : bool;
@@ -82,7 +88,20 @@ and frame = {
 (** A handler runs one superblock and returns the next position. *)
 and handler = state -> int
 
-and cfunc = { src : D.dfunc; chandlers : handler array }
+and cfunc = { src : D.dfunc; chandlers : handler array; runs : line_runs }
+
+(** A function's fetches grouped into line runs for one line size
+    ([shift = -1] until first built).  For a fetch at position [j] inside
+    a straight-line prefix that stays within one line, [line.(j)] is
+    that line and [len.(j)] counts the fetches from [j] on, to the end
+    of the prefix, that stay within it; [len.(j) = 0] marks a fetch that
+    straddles lines.  Every handler starting inside a prefix reads the
+    same arrays. *)
+and line_runs = {
+  mutable shift : int;
+  mutable line : int array;
+  mutable len : int array;
+}
 
 (** A compiled program: the decode it was built from plus one [cfunc]
     per decoded function. *)
@@ -464,36 +483,87 @@ let compile_fused_cmp_branch (f : D.dfunc) delay_slots after ~cmp_pos ~br_pos
       next
     end
 
+(* Where the straight-line prefix of the superblock at each position
+   ends: at the next transfer, or one earlier when a compare directly
+   feeds that transfer as a conditional branch (the two fuse).  Every
+   position of a prefix shares its end. *)
+let prefix_ends (f : D.dfunc) =
+  let code = f.D.dcode in
+  let n = Array.length code in
+  let ends = Array.make n n in
+  let m = ref n in
+  for l = n - 1 downto 0 do
+    if D.is_transfer code.(l) then m := l;
+    ends.(l) <-
+      (if !m < n && !m > l then
+         match (code.(!m - 1), code.(!m)) with
+         | D.DCmp _, D.DBranch _ -> !m - 1
+         | _ -> !m
+       else !m)
+  done;
+  ends
+
+let build_runs (f : D.dfunc) runs shift =
+  let n = Array.length f.D.dcode in
+  let ends = prefix_ends f in
+  let line = Array.make n 0 and len = Array.make n 0 in
+  for j = n - 1 downto 0 do
+    let addr = f.D.daddrs.(j) in
+    let first = addr asr shift
+    and last = (addr + max 1 f.D.dsizes.(j) - 1) asr shift in
+    if first = last then begin
+      line.(j) <- first;
+      len.(j) <-
+        (if j + 1 < ends.(j) && len.(j + 1) > 0 && line.(j + 1) = first then
+           len.(j + 1) + 1
+         else 1)
+    end
+  done;
+  runs.line <- line;
+  runs.len <- len;
+  runs.shift <- shift
+
+(* Feed [bank] the fetches of positions [j, stop) of a prefix. *)
+let rec feed_runs bank runs (f : D.dfunc) j stop =
+  if j < stop then begin
+    let len = Array.unsafe_get runs.len j in
+    if len > 0 then begin
+      Icache.Bank.access_run bank ~line:(Array.unsafe_get runs.line j)
+        ~count:len;
+      feed_runs bank runs f (j + len) stop
+    end
+    else begin
+      (* Straddles lines: one exact fetch. *)
+      Icache.Bank.access bank ~addr:f.D.daddrs.(j) ~size:f.D.dsizes.(j);
+      feed_runs bank runs f (j + 1) stop
+    end
+  end
+
 (* The superblock starting at [l]: its straight-line prefix (simple
-   instructions up to the next transfer) runs off one bulk accounting
+   instructions up to [prefix_end]) runs off one bulk accounting
    header, then the terminator decides where to go.  Every position
    gets a handler — control only ever enters at transfer targets,
    post-transfer fall-throughs and the entry, but a handler per
-   position keeps the dispatch a plain array index.  [effs] is shared
-   across all the function's superblocks, so overlapping blocks do not
-   duplicate compiled effects. *)
+   position keeps the dispatch a plain array index.  [effs] and [runs]
+   are shared across all the function's superblocks, so overlapping
+   blocks do not duplicate compiled effects or line runs. *)
 let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
-    l : handler =
+    runs prefix_end l : handler =
   let code = f.D.dcode in
   let n = Array.length code in
-  let m = ref l in
-  while !m < n && not (D.is_transfer code.(!m)) do incr m done;
-  (* Fuse a trailing compare into a conditional-branch terminator. *)
-  let fused, prefix_end =
-    if !m < n && !m > l then
-      match (code.(!m - 1), code.(!m)) with
-      | D.DCmp (a, b), D.DBranch (cond, tgt) ->
-        ( Some
-            (compile_fused_cmp_branch f delay_slots after ~cmp_pos:(!m - 1)
-               ~br_pos:!m a b cond tgt),
-          !m - 1 )
-      | _ -> (None, !m)
-    else (None, !m)
-  in
   let term =
-    match fused with
-    | Some t -> Some t
-    | None -> if !m < n then Some (compile_term f delay_slots after !m) else None
+    if prefix_end >= n then None
+    else if D.is_transfer code.(prefix_end) then
+      Some (compile_term f delay_slots after prefix_end)
+    else
+      (* [prefix_ends] stops short of a transfer only at a compare that
+         fuses with the conditional branch after it. *)
+      match (code.(prefix_end), code.(prefix_end + 1)) with
+      | D.DCmp (a, b), D.DBranch (cond, tgt) ->
+        Some
+          (compile_fused_cmp_branch f delay_slots after ~cmp_pos:prefix_end
+             ~br_pos:(prefix_end + 1) a b cond tgt)
+      | _ -> assert false
   in
   let p = prefix_end - l in
   (* Class totals of the prefix: simple instructions only touch the
@@ -545,7 +615,13 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
           st.next_budget <- (t1 lor Interp.budget_interval_mask) + 1
         end;
         st.steps_left <- st.steps_left - p;
-        if st.fetch_on then
+        if st.line_runs then begin
+          feed_runs st.bank runs f l prefix_end;
+          for j = l to prefix_end - 1 do
+            (Array.unsafe_get effs j) st
+          done
+        end
+        else if st.fetch_on then
           for j = l to prefix_end - 1 do
             st.fetch ~addr:(Array.unsafe_get addrs j)
               ~size:(Array.unsafe_get sizes j);
@@ -565,10 +641,12 @@ let compile_func (f : D.dfunc) delay_slots after : cfunc =
       (fun i -> if D.is_transfer i then (fun _ -> ()) else effect i)
       f.D.dcode
   in
+  let runs = { shift = -1; line = [||]; len = [||] } in
+  let ends = prefix_ends f in
   let handlers =
-    Array.init n (fun l -> compile_block f delay_slots after effs l)
+    Array.init n (fun l -> compile_block f delay_slots after effs runs ends.(l) l)
   in
-  { src = f; chandlers = handlers }
+  { src = f; chandlers = handlers; runs }
 
 let compile (decoded : D.t) : program =
   let after = if decoded.D.delay_slots then 2 else 1 in
@@ -580,51 +658,8 @@ let compile (decoded : D.t) : program =
         decoded.D.dfuncs;
   }
 
-(* Compiled programs are cached like decodes: per-domain LRU keyed by
-   the decode's physical identity (itself interned by
-   [Interp.decode_cached], so equal [asm]/[prog] pairs share one
-   decode and hence one compile). *)
-let compile_cache_capacity = 8
-
-type ccache = {
-  mutable centries : (D.t * program) list;
-  mutable chits : int;
-  mutable cmisses : int;
-}
-
-let compile_cache : ccache Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { centries = []; chits = 0; cmisses = 0 })
-
-let compile_cached (decoded : D.t) =
-  let shard = Domain.DLS.get compile_cache in
-  let rec find acc = function
-    | [] -> None
-    | ((d, _) as e) :: rest ->
-      if d == decoded then Some (e, List.rev_append acc rest)
-      else find (e :: acc) rest
-  in
-  match find [] shard.centries with
-  | Some (((_, p) as e), rest) ->
-    shard.chits <- shard.chits + 1;
-    shard.centries <- e :: rest;
-    p
-  | None ->
-    shard.cmisses <- shard.cmisses + 1;
-    let p = compile decoded in
-    let kept =
-      List.filteri (fun i _ -> i < compile_cache_capacity - 1) shard.centries
-    in
-    shard.centries <- (decoded, p) :: kept;
-    p
-
-let compile_cache_counters () =
-  let shard = Domain.DLS.get compile_cache in
-  (shard.chits, shard.cmisses)
-
-let publish_cache_metrics metrics =
-  let hits, misses = compile_cache_counters () in
-  Telemetry.Metrics.add metrics "sim.engine_cache.hits" hits;
-  Telemetry.Metrics.add metrics "sim.engine_cache.misses" misses
+(* The compiled program lives in the sim cache entry beside its decode. *)
+type Interp.compiled += Program of program
 
 (* --- the run loop ---------------------------------------------------- *)
 
@@ -638,19 +673,47 @@ let effective_steps budget max_steps =
 
 let no_fetch ~addr:_ ~size:_ = ()
 
-let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
+(* Stands in for an absent bank; never fed, since [line_runs] is off. *)
+let no_bank = Icache.Bank.create []
+
+let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch ?bank
     ?(log = Telemetry.Log.null) ?budget (asm : Asm.t) (prog : Flow.Prog.t) =
   let max_steps = effective_steps budget max_steps in
   let image = Image.build_scratch prog in
-  let decoded =
-    Interp.decode_cached
+  let entry =
+    Interp.cache_lookup
       ~symbol:(fun sym ->
         match Image.symbol image sym with
         | a -> Some a
         | exception Not_found -> None)
       asm prog
   in
-  let compiled = compile_cached decoded in
+  let compiled =
+    match Interp.cached_compile entry (fun d -> Program (compile d)) with
+    | Program p -> p
+    | _ -> assert false
+  in
+  let decoded = compiled.decoded in
+  (* A uniform bank takes each prefix's line runs; any other bank, and
+     every fetch outside a prefix, goes through [fetch] one by one. *)
+  let fetch, line_shift =
+    match (on_fetch, bank) with
+    | None, None -> (no_fetch, None)
+    | Some f, None -> (f, None)
+    | None, Some b ->
+      ((fun ~addr ~size -> Icache.Bank.access b ~addr ~size), Icache.Bank.line_shift b)
+    | Some f, Some b ->
+      ( (fun ~addr ~size ->
+          f ~addr ~size;
+          Icache.Bank.access b ~addr ~size),
+        None )
+  in
+  Option.iter
+    (fun shift ->
+      Array.iter
+        (fun cf -> if cf.runs.shift <> shift then build_runs cf.src cf.runs shift)
+        compiled.cfuncs)
+    line_shift;
   let main_i =
     match Hashtbl.find_opt decoded.D.findex "main" with
     | Some i -> i
@@ -685,8 +748,10 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
       input_pos = 0;
       output = Buffer.create 1024;
       counts;
-      fetch = (match on_fetch with Some f -> f | None -> no_fetch);
-      fetch_on = Option.is_some on_fetch;
+      fetch;
+      fetch_on = Option.is_some on_fetch || Option.is_some bank;
+      bank = Option.value bank ~default:no_bank;
+      line_runs = Option.is_some line_shift;
       steps_left = max_steps;
       log;
       log_on = Telemetry.Log.enabled log;

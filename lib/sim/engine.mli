@@ -24,6 +24,15 @@
     included) with its code address and size — feed this to cache
     simulators.
 
+    [bank] takes the same fetch stream, with the same statistics as an
+    [on_fetch] that calls {!Icache.Bank.access}.  On a bank with a
+    {!Icache.Bank.line_shift}, each superblock's straight-line prefix
+    goes in as its precomputed line runs ({!Icache.Bank.access_run});
+    terminators, delay slots, line-straddling fetches and the
+    fuel-exhaustion tail go in one fetch at a time, as does every fetch
+    when [on_fetch] is given too.  A run that faults has no result, and
+    its bank may hold the whole faulting superblock's fetches.
+
     With [log], execution emits a [Sim_progress] heartbeat every
     {!Interp.progress_interval} executed instructions.
 
@@ -34,6 +43,10 @@
     cooperative-cancellation half of the {!Harness.Pool} supervisor's
     deadline enforcement.
 
+    The decode and its compiled program come from the sim cache
+    ({!Interp.decode_cached}), so running one [asm]/[prog] pair again
+    compiles nothing.
+
     @raise Interp.Runtime_error on faults (null/of-range access,
     division by zero, jump-table index out of bounds, missing function).
     Step-budget exhaustion is {e not} a fault: the result comes back
@@ -42,6 +55,7 @@ val run :
   ?max_steps:int ->
   ?input:string ->
   ?on_fetch:(addr:int -> size:int -> unit) ->
+  ?bank:Icache.Bank.t ->
   ?log:Telemetry.Log.t ->
   ?budget:Telemetry.Budget.t ->
   Asm.t ->
@@ -52,13 +66,5 @@ val run :
 type program
 
 (** Compile a decode.  Exposed for the compile micro-benchmark; {!run}
-    goes through the per-domain compile cache. *)
+    goes through the sim cache. *)
 val compile : Interp.Decoded.t -> program
-
-(** This domain's compile-cache [(hits, misses)] since it started.
-    Like {!Interp.decode_cache_counters}, never part of a sweep's log. *)
-val compile_cache_counters : unit -> int * int
-
-(** Add this domain's compile-cache tallies into [metrics] as
-    [sim.engine_cache.hits]/[sim.engine_cache.misses]. *)
-val publish_cache_metrics : Telemetry.Metrics.t -> unit

@@ -554,63 +554,88 @@ module Decoded = struct
       asm
 end
 
-(* Re-running the same assembled program (benchmark reps, differential
-   checks) re-decodes identically: [Image.build] lays data out as a pure
-   function of the program, so symbol addresses cannot change between
-   runs.  A small
-   LRU keyed by physical identity replaces the old one-slot cache — the
-   daemon's resident workers and the differential tests interleave a
-   handful of programs, which a single slot thrashed on.  Domain-local,
-   so parallel sweeps race on nothing; the hit/miss tallies are
-   domain-local too and surface through [decode_cache_counters], never
-   through a sweep's log (whose counters must stay independent of how
-   tasks were scheduled over domains). *)
-let decode_cache_capacity = 8
+(* The sim-side cache: one per-domain entry holding the last
+   [asm]/[prog] pair decoded on this domain, its decode, and the
+   engine's compiled program once built.  Re-running the same assembled
+   program (a warmed decode, then the run) re-decodes identically:
+   [Image.build] lays data out as a pure function of the program, so
+   symbol addresses cannot change between runs.  A sweep builds a fresh
+   program per measurement, so a larger cache would never hit and would
+   only keep dead programs alive.  Domain-local, so parallel sweeps race
+   on nothing; the hit/miss tallies are domain-local too and surface
+   through [publish_cache_metrics], never through a sweep's log (whose
+   counters must stay independent of how tasks were scheduled over
+   domains). *)
+type compiled = ..
 
 type cache_entry = {
   ckey_asm : Asm.t;
   ckey_prog : Flow.Prog.t;
-  cval : Decoded.t;
+  decoded : Decoded.t;
+  mutable compiled : compiled option;
 }
 
 type cache_shard = {
-  mutable entries : cache_entry list;  (** most recent first *)
-  mutable chits : int;
-  mutable cmisses : int;
+  mutable entry : cache_entry option;
+  mutable decode_hits : int;
+  mutable decode_misses : int;
+  mutable compile_hits : int;
+  mutable compile_misses : int;
 }
 
-let decode_cache : cache_shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { entries = []; chits = 0; cmisses = 0 })
+let cache : cache_shard Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        entry = None;
+        decode_hits = 0;
+        decode_misses = 0;
+        compile_hits = 0;
+        compile_misses = 0;
+      })
 
-let decode_cached ~symbol (asm : Asm.t) (prog : Flow.Prog.t) =
-  let shard = Domain.DLS.get decode_cache in
-  let rec find acc = function
-    | [] -> None
-    | e :: rest ->
-      if e.ckey_asm == asm && e.ckey_prog == prog then
-        Some (e, List.rev_append acc rest)
-      else find (e :: acc) rest
-  in
-  match find [] shard.entries with
-  | Some (e, rest) ->
-    shard.chits <- shard.chits + 1;
-    shard.entries <- e :: rest;
-    e.cval
-  | None ->
-    shard.cmisses <- shard.cmisses + 1;
-    let d = Decoded.decode_with symbol asm in
-    let entry = { ckey_asm = asm; ckey_prog = prog; cval = d } in
-    let kept =
-      List.filteri (fun i _ -> i < decode_cache_capacity - 1) shard.entries
+let cache_lookup ~symbol (asm : Asm.t) (prog : Flow.Prog.t) =
+  let shard = Domain.DLS.get cache in
+  match shard.entry with
+  | Some e when e.ckey_asm == asm && e.ckey_prog == prog ->
+    shard.decode_hits <- shard.decode_hits + 1;
+    e
+  | _ ->
+    shard.decode_misses <- shard.decode_misses + 1;
+    (* Drop the old entry before decoding, so two programs are never
+       live at once. *)
+    shard.entry <- None;
+    let e =
+      {
+        ckey_asm = asm;
+        ckey_prog = prog;
+        decoded = Decoded.decode_with symbol asm;
+        compiled = None;
+      }
     in
-    shard.entries <- entry :: kept;
-    d
+    shard.entry <- Some e;
+    e
 
-let decode_cache_counters () =
-  let shard = Domain.DLS.get decode_cache in
-  (shard.chits, shard.cmisses)
+let decode_cached ~symbol asm prog = (cache_lookup ~symbol asm prog).decoded
+
+let cached_compile e compile =
+  let shard = Domain.DLS.get cache in
+  match e.compiled with
+  | Some c ->
+    shard.compile_hits <- shard.compile_hits + 1;
+    c
+  | None ->
+    shard.compile_misses <- shard.compile_misses + 1;
+    let c = compile e.decoded in
+    e.compiled <- Some c;
+    c
 
 let publish_cache_metrics metrics =
-  let hits, misses = decode_cache_counters () in
-  Telemetry.Metrics.add metrics "sim.decode_cache.hits" hits;
-  Telemetry.Metrics.add metrics "sim.decode_cache.misses" misses
+  let shard = Domain.DLS.get cache in
+  List.iter
+    (fun (k, v) -> Telemetry.Metrics.add metrics k v)
+    [
+      ("sim.decode_cache.hits", shard.decode_hits);
+      ("sim.decode_cache.misses", shard.decode_misses);
+      ("sim.engine_cache.hits", shard.compile_hits);
+      ("sim.engine_cache.misses", shard.compile_misses);
+    ]

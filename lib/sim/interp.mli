@@ -49,7 +49,8 @@ exception Runtime_error of string
     symbols, virtual registers and call targets on every step.  Kept as
     the independent differential oracle for {!Engine.run} — the test
     suite runs the whole benchmark matrix through both and demands
-    identical results.  Same signature and semantics as {!Engine.run}. *)
+    identical results.  Same signature and semantics as {!Engine.run},
+    less [?bank]. *)
 val run_reference :
   ?max_steps:int ->
   ?input:string ->
@@ -119,22 +120,37 @@ module Decoded : sig
   val decode : Asm.t -> Flow.Prog.t -> t
 end
 
-(** Decode through the per-domain LRU (capacity 8, keyed by the physical
-    identity of the [asm]/[prog] pair).  [symbol] resolves data symbols
-    to addresses and is consulted only on a miss — sound because image
+(** Decode through the per-domain sim cache: one entry, keyed by the
+    physical identity of the [asm]/[prog] pair, holding the decode and
+    the engine's compiled program.  [symbol] resolves data symbols to
+    addresses and is consulted only on a miss — sound because image
     layout is a pure function of the program, so every run of the same
-    pair would decode identically.  {!Engine.run} decodes through this
-    cache, so repeated runs of one program decode once. *)
+    pair would decode identically.  {!Engine.run} looks up the same
+    entry, so a decode warmed here is the one the next run of the pair
+    executes. *)
 val decode_cached :
   symbol:(string -> int option) -> Asm.t -> Flow.Prog.t -> Decoded.t
 
-(** This domain's decode-cache [(hits, misses)] since it started.
+(** The engine's compiled form of a decode; {!Engine} adds its
+    constructor, so the cache entry can hold it without [Interp]
+    depending on [Engine]. *)
+type compiled = ..
+
+type cache_entry
+
+(** The cache entry behind {!decode_cached}. *)
+val cache_lookup :
+  symbol:(string -> int option) -> Asm.t -> Flow.Prog.t -> cache_entry
+
+(** The entry's compiled program, built from its decode by [compile] on
+    first use. *)
+val cached_compile : cache_entry -> (Decoded.t -> compiled) -> compiled
+
+(** Add this domain's cache tallies into [metrics]: decode lookups as
+    [sim.decode_cache.hits]/[sim.decode_cache.misses], compiled-program
+    lookups as [sim.engine_cache.hits]/[sim.engine_cache.misses].
     Deliberately kept out of run logs: at [-j > 1] the split across
     domains depends on scheduling, and sweep counter objects must not. *)
-val decode_cache_counters : unit -> int * int
-
-(** Add this domain's decode-cache tallies into [metrics] as
-    [sim.decode_cache.hits]/[sim.decode_cache.misses]. *)
 val publish_cache_metrics : Telemetry.Metrics.t -> unit
 
 (** One [Sim_progress] heartbeat per this many executed instructions

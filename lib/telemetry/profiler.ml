@@ -1,8 +1,8 @@
 (* Per-pass and per-run profiler.
 
    Two attribution tables: (function x pass) -> {calls, wall, alloc} fed
-   by the Opt.Driver pass boundary, and run -> {fuel, interp, cache} fed
-   by Harness.Measure.  Like Metrics, a profiler is single-domain state:
+   by the Opt.Driver pass boundary, and run -> {fuel, interp} fed by
+   Harness.Measure.  Like Metrics, a profiler is single-domain state:
    worker domains profile into private shards that the parent folds back
    with [merge] in task order.  Wall-clock and allocation numbers are
    nondeterministic by nature; the deterministic parts (call counts,
@@ -16,8 +16,7 @@ type pass_stat = {
 
 type run_stat = {
   mutable fuel : int;  (* executed instructions *)
-  mutable interp_ms : float;  (* whole interpreter run, cache sim included *)
-  mutable cache_ms : float;  (* time inside the Icache.Bank on_fetch hook *)
+  mutable interp_ms : float;  (* whole engine run, cache bank included *)
 }
 
 type t = {
@@ -47,14 +46,13 @@ let record_pass t ~func ~pass ~wall_ms ~alloc =
     | None ->
       Hashtbl.add t.passes key { calls = 1; wall_ms; alloc_words = alloc }
 
-let record_run t ~run ~fuel ~interp_ms ~cache_ms =
+let record_run t ~run ~fuel ~interp_ms =
   if t.on then
     match Hashtbl.find_opt t.runs run with
     | Some s ->
       s.fuel <- s.fuel + fuel;
-      s.interp_ms <- s.interp_ms +. interp_ms;
-      s.cache_ms <- s.cache_ms +. cache_ms
-    | None -> Hashtbl.add t.runs run { fuel; interp_ms; cache_ms }
+      s.interp_ms <- s.interp_ms +. interp_ms
+    | None -> Hashtbl.add t.runs run { fuel; interp_ms }
 
 let merge ~into src =
   if into.on then begin
@@ -69,8 +67,7 @@ let merge ~into src =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.runs []
     |> List.sort compare
     |> List.iter (fun (run, (s : run_stat)) ->
-           record_run into ~run ~fuel:s.fuel ~interp_ms:s.interp_ms
-             ~cache_ms:s.cache_ms)
+           record_run into ~run ~fuel:s.fuel ~interp_ms:s.interp_ms)
   end
 
 (* --- reading --- *)
@@ -134,19 +131,12 @@ type run_row = {
   r_run : string;
   r_fuel : int;
   r_interp_ms : float;
-  r_cache_ms : float;
 }
 
 let run_rows t =
   Hashtbl.fold
     (fun r_run (s : run_stat) acc ->
-      {
-        r_run;
-        r_fuel = s.fuel;
-        r_interp_ms = s.interp_ms;
-        r_cache_ms = s.cache_ms;
-      }
-      :: acc)
+      { r_run; r_fuel = s.fuel; r_interp_ms = s.interp_ms } :: acc)
     t.runs []
   |> List.sort (fun a b ->
          match compare b.r_interp_ms a.r_interp_ms with
@@ -192,7 +182,6 @@ let to_json t =
                    ("run", Json.Str r.r_run);
                    ("fuel", Json.Int r.r_fuel);
                    ("interp_ms", Json.Raw (Printf.sprintf "%.3f" r.r_interp_ms));
-                   ("cache_ms", Json.Raw (Printf.sprintf "%.3f" r.r_cache_ms));
                  ])
              (run_rows t)) );
     ]
@@ -231,10 +220,9 @@ let pp_table ?(top = 15) ppf t =
   | [] -> ()
   | runs ->
     Format.fprintf ppf "profile: top %d runs (interpreter + cache bank):@." top;
-    Format.fprintf ppf "  %-32s %12s %12s %12s@." "run" "fuel" "interp ms"
-      "cache ms";
+    Format.fprintf ppf "  %-32s %12s %12s@." "run" "fuel" "interp ms";
     List.iter
       (fun r ->
-        Format.fprintf ppf "  %-32s %12d %12.3f %12.3f@." r.r_run r.r_fuel
-          r.r_interp_ms r.r_cache_ms)
+        Format.fprintf ppf "  %-32s %12d %12.3f@." r.r_run r.r_fuel
+          r.r_interp_ms)
       (take top runs)

@@ -2,7 +2,7 @@
 
     Attribution tables fed by the {!Opt.Driver} pass boundary (wall-clock
     and GC allocation per function x pass) and by [Harness.Measure]
-    (interpreter fuel, interpreter wall time and cache-bank time per
+    (executed instructions and engine wall time, cache bank included, per
     benchmark run).  Single-domain, like {!Metrics}: worker domains
     profile into private shards, the parent folds them back with {!merge}
     in task order.  Every recording is a no-op on {!null}. *)
@@ -22,8 +22,7 @@ val record_pass :
 
 (** [run] is a free-form key — the sweep uses ["program/LEVEL/machine"].
     Repeated recordings accumulate. *)
-val record_run :
-  t -> run:string -> fuel:int -> interp_ms:float -> cache_ms:float -> unit
+val record_run : t -> run:string -> fuel:int -> interp_ms:float -> unit
 
 (** Fold [src] into [into] (commutative sums; call in task order for a
     deterministic aggregate). *)
@@ -47,7 +46,6 @@ type run_row = {
   r_run : string;
   r_fuel : int;
   r_interp_ms : float;
-  r_cache_ms : float;
 }
 
 val run_rows : t -> run_row list

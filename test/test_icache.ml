@@ -157,32 +157,31 @@ let bank_test_configs =
       config ~kb:1 ~assoc:2 ~cs:true ();
     ]
 
-let check_bank_agrees stream =
-  let bank = Icache.Bank.create bank_test_configs in
-  let caches = List.map Icache_oracle.create bank_test_configs in
+(* The bank agrees with one oracle per configuration on every
+   statistic. *)
+let bank_equals_oracles configs feed stream =
+  let bank = Icache.Bank.create configs in
+  let caches = List.map Icache_oracle.create configs in
+  feed bank stream;
   List.iter
-    (fun (addr, size) ->
-      Icache.Bank.access bank ~addr ~size;
-      List.iter (fun c -> Icache_oracle.access c ~addr ~size) caches)
+    (fun (addr, size) -> List.iter (fun c -> Icache_oracle.access c ~addr ~size) caches)
     stream;
-  List.iteri
-    (fun i c ->
-      let agrees =
-        Icache.Bank.hits bank i = Icache_oracle.hits c
-        && Icache.Bank.misses bank i = Icache_oracle.misses c
-        && Icache.Bank.accesses bank i = Icache_oracle.accesses c
-        && Icache.Bank.miss_ratio bank i = Icache_oracle.miss_ratio c
-        && Icache.Bank.fetch_cost bank i = Icache_oracle.fetch_cost c
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "bank agrees on %s"
-           (Icache.config_name (Icache.Bank.configs bank).(i)))
-        true agrees)
-    caches
+  List.for_all
+    (fun (i, c) ->
+      Icache.Bank.hits bank i = Icache_oracle.hits c
+      && Icache.Bank.misses bank i = Icache_oracle.misses c
+      && Icache.Bank.accesses bank i = Icache_oracle.accesses c
+      && Icache.Bank.miss_ratio bank i = Icache_oracle.miss_ratio c
+      && Icache.Bank.fetch_cost bank i = Icache_oracle.fetch_cost c)
+    (List.mapi (fun i c -> (i, c)) caches)
+
+let per_fetch bank stream =
+  List.iter (fun (addr, size) -> Icache.Bank.access bank ~addr ~size) stream
 
 let test_bank_basic () =
-  check_bank_agrees
-    [ (0x1000, 4); (0x1004, 4); (0x0000, 4); (0x0400, 6); (0x100C, 6) ]
+  Alcotest.(check bool) "bank agrees with the oracles" true
+    (bank_equals_oracles bank_test_configs per_fetch
+       [ (0x1000, 4); (0x1004, 4); (0x0000, 4); (0x0400, 6); (0x100C, 6) ])
 
 let test_bank_reset () =
   let bank = Icache.Bank.create Icache.paper_configs in
@@ -204,23 +203,99 @@ let prop_bank_matches_individual_caches =
         (QCheck.Gen.int_range 50 600)
         (pair (int_range 0 20_000) (int_range 1 8)))
     (fun stream ->
-      let bank = Icache.Bank.create bank_test_configs in
-      let caches = List.map Icache_oracle.create bank_test_configs in
       (* Repeat the stream so context-switch clocks actually wrap. *)
-      for _ = 1 to 8 do
-        List.iter
-          (fun (addr, size) ->
-            Icache.Bank.access bank ~addr ~size;
-            List.iter (fun c -> Icache_oracle.access c ~addr ~size) caches)
-          stream
-      done;
-      List.for_all
-        (fun (i, c) ->
-          Icache.Bank.hits bank i = Icache_oracle.hits c
-          && Icache.Bank.misses bank i = Icache_oracle.misses c
-          && Icache.Bank.miss_ratio bank i = Icache_oracle.miss_ratio c
-          && Icache.Bank.fetch_cost bank i = Icache_oracle.fetch_cost c)
-        (List.mapi (fun i c -> (i, c)) caches))
+      bank_equals_oracles bank_test_configs per_fetch
+        (List.concat (List.init 8 (fun _ -> stream))))
+
+(* --- Bank: the uniform (all direct-mapped, one line size) path ------ *)
+
+(* Every paper sweep takes the bank's uniform path, which the mixed
+   [bank_test_configs] above never reach.  These streams have the
+   locality of real code: a few blocks of variable-size fetches (1-8
+   bytes, so CISC-style fetches straddle lines) at random addresses,
+   replayed round after round.  Runs within a line, line changes that
+   hit, conflicts between blocks and — over enough rounds — several
+   wraps of the context-switch clocks all occur. *)
+let looping_stream =
+  QCheck.make
+    ~print:(fun (blocks, rounds) ->
+      Printf.sprintf "%d blocks x %d rounds" (List.length blocks) rounds)
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 12)
+           (pair (int_range 0 16_383) (list_size (int_range 1 24) (int_range 1 8))))
+        (int_range 30 150))
+
+let expand_stream (blocks, rounds) =
+  List.concat
+    (List.init rounds (fun _ ->
+         List.concat_map
+           (fun (start, sizes) ->
+             let addr = ref start in
+             List.map
+               (fun size ->
+                 let a = !addr in
+                 addr := a + size;
+                 (a, size))
+               sizes)
+           blocks))
+
+let uniform_config ~line ~bytes ~cs =
+  { Icache.size_bytes = bytes; line_bytes = line; context_switches = cs; assoc = 1 }
+
+(* A second uniform geometry: 32-byte lines, creation order not sorted
+   by size, and the smallest cache switching contexts — so the bank
+   cannot answer "hit everywhere" from its smallest ctx-off cache and
+   must probe each configuration. *)
+let ctx_on_smallest_configs =
+  List.map
+    (fun (bytes, cs) -> uniform_config ~line:32 ~bytes ~cs)
+    [ (4096, false); (512, true); (1024, false); (2048, true); (1024, true) ]
+
+let prop_uniform_bank name configs =
+  QCheck.Test.make ~name ~count:25 looping_stream (fun s ->
+      bank_equals_oracles configs per_fetch (expand_stream s))
+
+let prop_paper_bank =
+  prop_uniform_bank "paper-config Bank equals the oracle on looping streams"
+    Icache.paper_configs
+
+let prop_ctx_on_smallest_bank =
+  prop_uniform_bank "uniform Bank with a ctx-on smallest cache equals the oracle"
+    ctx_on_smallest_configs
+
+(* The same stream fed as runs: consecutive fetches confined to one
+   line become one [access_run]; a fetch straddling lines stays a plain
+   [access]. *)
+let run_fed bank stream =
+  let shift = Option.get (Icache.Bank.line_shift bank) in
+  let flush line count =
+    if count > 0 then Icache.Bank.access_run bank ~line ~count
+  in
+  let line, count =
+    List.fold_left
+      (fun (line, count) (addr, size) ->
+        let first = addr asr shift and last = (addr + size - 1) asr shift in
+        if first <> last then begin
+          flush line count;
+          Icache.Bank.access bank ~addr ~size;
+          (-1, 0)
+        end
+        else if first = line then (line, count + 1)
+        else begin
+          flush line count;
+          (first, 1)
+        end)
+      (-1, 0) stream
+  in
+  flush line count
+
+let prop_run_fed_bank =
+  QCheck.Test.make ~name:"run-fed Bank equals the per-fetch oracle" ~count:25
+    looping_stream (fun s ->
+      let stream = expand_stream s in
+      bank_equals_oracles Icache.paper_configs run_fed stream
+      && bank_equals_oracles ctx_on_smallest_configs run_fed stream)
 
 let tests =
   ( "icache",
@@ -240,4 +315,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_counters_consistent;
       QCheck_alcotest.to_alcotest prop_repeat_hits;
       QCheck_alcotest.to_alcotest prop_bank_matches_individual_caches;
+      QCheck_alcotest.to_alcotest prop_paper_bank;
+      QCheck_alcotest.to_alcotest prop_ctx_on_smallest_bank;
+      QCheck_alcotest.to_alcotest prop_run_fed_bank;
     ] )

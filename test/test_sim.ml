@@ -348,6 +348,108 @@ let test_engines_match_on_fault () =
   Alcotest.(check int) "fetch count" rn n;
   Alcotest.(check int) "fetch hash" rh h
 
+(* [Engine.run ~bank] feeds a uniform bank line runs per superblock
+   prefix.  Its statistics must equal those of a second bank fed one
+   fetch at a time through [on_fetch], and the run itself must not
+   change. *)
+type bank_run =
+  ?on_fetch:(addr:int -> size:int -> unit) ->
+  ?bank:Icache.Bank.t ->
+  unit ->
+  Sim.Interp.result
+
+let check_bank_run name ?(configs = Icache.paper_configs) (run : bank_run) =
+  let by_runs = Icache.Bank.create configs
+  and by_fetch = Icache.Bank.create configs in
+  let r = run ~bank:by_runs () in
+  let d =
+    run ~on_fetch:(fun ~addr ~size -> Icache.Bank.access by_fetch ~addr ~size) ()
+  in
+  Alcotest.(check string) (name ^ " output") d.output r.output;
+  Alcotest.(check bool) (name ^ " timeout") d.timed_out r.timed_out;
+  check_counts name d.counts r.counts;
+  Array.iteri
+    (fun i c ->
+      let stat what get =
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s %s" name (Icache.config_name c) what)
+          (get by_fetch i) (get by_runs i)
+      in
+      stat "hits" Icache.Bank.hits;
+      stat "misses" Icache.Bank.misses;
+      stat "fetch cost" Icache.Bank.fetch_cost)
+    (Icache.Bank.configs by_runs)
+
+let test_bank_runs_match_fetches () =
+  List.iter
+    (fun (machine, mname) ->
+      List.iter
+        (fun level ->
+          List.iter
+            (fun (b : Programs.Suite.benchmark) ->
+              let prog =
+                Opt.Driver.compile
+                  { Opt.Driver.default_options with level }
+                  machine b.source
+              in
+              let asm = Sim.Asm.assemble machine prog in
+              check_bank_run
+                (Printf.sprintf "%s/%s/%s" b.name (Opt.Driver.level_name level) mname)
+                (fun ?on_fetch ?bank () ->
+                  Sim.Engine.run ~input:b.input ?on_fetch ?bank asm prog))
+            Programs.Suite.all)
+        [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+    [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
+
+let test_bank_runs_match_on_timeout () =
+  (* The fuel-exhaustion tail feeds the bank fetch by fetch, so a
+     truncated run's statistics stop at the exact instruction. *)
+  let src =
+    "int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) s = s + i; \
+     return s & 255; }"
+  in
+  List.iter
+    (fun machine ->
+      let prog =
+        Opt.Driver.compile
+          { Opt.Driver.default_options with level = Opt.Driver.Jumps }
+          machine src
+      in
+      let asm = Sim.Asm.assemble machine prog in
+      for max_steps = 1 to 120 do
+        check_bank_run
+          (Printf.sprintf "%s steps=%d" machine.Machine.short max_steps)
+          (fun ?on_fetch ?bank () ->
+            Sim.Engine.run ~max_steps ?on_fetch ?bank asm prog)
+      done)
+    [ Machine.risc; Machine.cisc ]
+
+let test_bank_non_uniform () =
+  (* A bank with an associative config has no line runs: every fetch
+     goes in one by one, and the statistics still match. *)
+  let configs =
+    Icache.paper_configs
+    @ [
+        {
+          Icache.size_bytes = 1024;
+          line_bytes = 16;
+          context_switches = true;
+          assoc = 2;
+        };
+      ]
+  in
+  List.iter
+    (fun (b : Programs.Suite.benchmark) ->
+      let prog =
+        Opt.Driver.compile
+          { Opt.Driver.default_options with level = Opt.Driver.Jumps }
+          Machine.cisc b.source
+      in
+      let asm = Sim.Asm.assemble Machine.cisc prog in
+      check_bank_run ~configs b.name (fun ?on_fetch ?bank () ->
+          Sim.Engine.run ~input:b.input ?on_fetch ?bank asm prog))
+    (List.filteri (fun i _ -> i < 3) Programs.Suite.all)
+
 (* The corpus sweep above checks known programs; this property checks
    arbitrary generated ones, shrinking failures with the fuzz campaign's
    own reducer. *)
@@ -408,4 +510,10 @@ let tests =
       Alcotest.test_case "engines match on fault" `Quick
         test_engines_match_on_fault;
       QCheck_alcotest.to_alcotest prop_engines_agree_on_random;
+      Alcotest.test_case "bank runs match per-fetch bank" `Slow
+        test_bank_runs_match_fetches;
+      Alcotest.test_case "bank runs match on timeout" `Quick
+        test_bank_runs_match_on_timeout;
+      Alcotest.test_case "non-uniform bank per fetch" `Quick
+        test_bank_non_uniform;
     ] )

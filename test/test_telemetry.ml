@@ -483,7 +483,6 @@ let test_profiler_merge () =
     Profiler.record_pass p ~func:"wc" ~pass:"replicate" ~wall_ms:5.0
       ~alloc:100.0;
     Profiler.record_run p ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0
-      ~cache_ms:0.5
   in
   let whole = Profiler.create () in
   feed whole;
@@ -491,8 +490,7 @@ let test_profiler_merge () =
   Profiler.record_pass a ~func:"main" ~pass:"cse" ~wall_ms:1.0 ~alloc:10.0;
   Profiler.record_pass b ~func:"main" ~pass:"cse" ~wall_ms:2.0 ~alloc:5.0;
   Profiler.record_pass b ~func:"wc" ~pass:"replicate" ~wall_ms:5.0 ~alloc:100.0;
-  Profiler.record_run b ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0
-    ~cache_ms:0.5;
+  Profiler.record_run b ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0;
   let merged = Profiler.create () in
   Profiler.merge ~into:merged a;
   Profiler.merge ~into:merged b;
