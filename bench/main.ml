@@ -542,9 +542,18 @@ let () =
     let sweep =
       lazy
         (let jobs = max 1 !jobs in
-         if !store <> "" then
+         if !store <> "" then begin
+           (* The campaign path records no profile or trace; refuse
+              rather than silently drop them. *)
+           if !profile || !profile_out <> "" || !trace_out <> "" then begin
+             Printf.eprintf
+               "--profile/--profile-out/--trace-out are not supported with \
+                --store DIR\n";
+             exit 2
+           end;
            campaign_sweep ~dir:!store ~resume:!resume ~workers:!workers ~jobs
              ?deadline ?retries:!retries ?chaos:!chaos ()
+         end
          else begin
            if !resume || !workers > 0 then begin
              Printf.eprintf "--resume/--workers need --store DIR\n";

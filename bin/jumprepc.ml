@@ -188,17 +188,6 @@ let report_diags diags =
 let strict_exit strict diags =
   if strict && Telemetry.Diag.has_errors !diags then exit 3
 
-let make_opts ?(verify = false) ?(certify = false) ?inject_fault ?budget level
-    =
-  {
-    Opt.Driver.default_options with
-    level;
-    verify_passes = verify;
-    certify;
-    inject_fault;
-    budget;
-  }
-
 (* --- budget arguments (compile/run) --- *)
 
 let wall_budget_arg =
@@ -272,7 +261,7 @@ let compile_cmd =
     let budget = make_budget wall_budget growth_budget in
     let prog =
       compile_prog ~log ~diags
-        (make_opts ~verify ~certify ?inject_fault ?budget level)
+        (Ops.make_opts ~verify ~certify ?inject_fault ?budget level)
         machine path
     in
     if dump_rtl || not (dump_asm || stats_json) then
@@ -359,7 +348,7 @@ let run_cmd =
     let budget = make_budget wall_budget growth_budget in
     let prog =
       compile_prog ~log ~diags
-        (make_opts ~verify ~certify ?inject_fault ?budget level)
+        (Ops.make_opts ~verify ~certify ?inject_fault ?budget level)
         machine path
     in
     let asm = Sim.Asm.assemble machine prog in
@@ -520,7 +509,7 @@ let bench_cmd =
       exit 1
     | Some b ->
       let log, finish = make_log trace trace_out in
-      let opts = if verify then Some (make_opts ~verify level) else None in
+      let opts = if verify then Some (Ops.make_opts ~verify level) else None in
       let m = Harness.Measure.run ?opts ~log b level machine in
       if stats_json then print_endline (Harness.Measure.to_json m)
       else begin
@@ -788,53 +777,47 @@ let certify_cmd =
             | Error f -> fail_op f
             | Ok (verdicts, diags) -> render t verdicts diags
           in
-          let compute_and_commit sth key =
-            let ((text, jsonel, anyref, lines) as r) = compute () in
-            Campaign.Store.lease sth key;
-            Campaign.Store.commit sth ~key
-              (Json.Obj
-                 [
-                   ("kind", Json.Str "certify/1");
-                   ("target", Json.Str t);
-                   ("text", Json.Str text);
-                   ("json", Json.Str jsonel);
-                   ("refuted", Json.Bool anyref);
-                   ( "stderr",
-                     Json.Arr (List.map (fun l -> Json.Str l) lines) );
-                 ]);
-            r
+          let encode (text, jsonel, anyref, lines) =
+            Json.Obj
+              [
+                ("kind", Json.Str "certify/1");
+                ("target", Json.Str t);
+                ("text", Json.Str text);
+                ("json", Json.Str jsonel);
+                ("refuted", Json.Bool anyref);
+                ("stderr", Json.Arr (List.map (fun l -> Json.Str l) lines));
+              ]
+          in
+          let decode e =
+            let fstr n = Option.bind (Json.member n e) Json.get_string in
+            match
+              ( fstr "text",
+                fstr "json",
+                Option.bind (Json.member "refuted" e) Json.get_bool,
+                Option.map
+                  (List.filter_map Json.get_string)
+                  (Option.bind (Json.member "stderr" e) Json.to_list) )
+            with
+            | Some text, Some jsonel, Some anyref, Some lines ->
+              Some (text, jsonel, anyref, lines)
+            | _ -> None
           in
           match (st, key) with
           | None, _ | _, None -> compute ()
-          | Some sth, Some key ->
-            if not resume then compute_and_commit sth key
-            else (
-              match Campaign.Store.find sth key with
-              | Campaign.Store.Miss -> compute_and_commit sth key
-              | Campaign.Store.Corrupt d ->
-                warn_diag d;
-                compute_and_commit sth key
-              | Campaign.Store.Hit e -> (
-                let fstr n = Option.bind (Json.member n e) Json.get_string in
-                let lines =
-                  Option.map
-                    (List.filter_map Json.get_string)
-                    (Option.bind (Json.member "stderr" e) Json.to_list)
-                in
-                match
-                  ( fstr "text",
-                    fstr "json",
-                    Option.bind (Json.member "refuted" e) Json.get_bool,
-                    lines )
-                with
-                | Some text, Some jsonel, Some anyref, Some lines ->
-                  incr n_cached;
-                  (text, jsonel, anyref, lines)
-                | _ ->
-                  warn_diag
-                    (Campaign.Store.note_corrupt sth key
-                       "entry is missing certify fields");
-                  compute_and_commit sth key)))
+          | Some sth, Some key -> (
+            match
+              if resume then
+                Campaign.Store.recall sth key ~what:"certify" decode
+              else Campaign.Store.Miss
+            with
+            | Campaign.Store.Hit r ->
+              incr n_cached;
+              r
+            | Campaign.Store.Corrupt d ->
+              warn_diag d;
+              Campaign.Store.record sth ~key encode compute
+            | Campaign.Store.Miss ->
+              Campaign.Store.record sth ~key encode compute))
         targets
     in
     if json then
@@ -1011,41 +994,33 @@ let fuzz_cmd =
     (* Resume: replay completed verdicts from the store (a cached failure
        keeps its reduced reproducer); only the delta is fuzzed.  Seeds
        aborted by chaos were never committed, so they rerun. *)
+    let decode e =
+      let fstr n = Option.bind (Json.member n e) Json.get_string in
+      match Option.bind (Json.member "failed" e) Json.get_bool with
+      | Some false -> Some None
+      | Some true -> (
+        match (fstr "fkind", fstr "config", fstr "reproducer") with
+        | Some k, Some c, Some r -> Some (Some (k, c, r))
+        | _ -> None)
+      | None -> None
+    in
     let cached = Hashtbl.create 16 in
     let to_run =
       match st with
       | Some st when resume ->
         List.filter
           (fun seed ->
-            let key = key_of seed in
-            match Campaign.Store.find st key with
-            | Campaign.Store.Miss -> true
+            match
+              Campaign.Store.recall st (key_of seed) ~what:"fuzz verdict"
+                decode
+            with
+            | Campaign.Store.Hit v ->
+              Hashtbl.replace cached seed v;
+              false
             | Campaign.Store.Corrupt d ->
               warn_diag d;
               true
-            | Campaign.Store.Hit e -> (
-              let fstr n = Option.bind (Json.member n e) Json.get_string in
-              match Option.bind (Json.member "failed" e) Json.get_bool with
-              | Some false ->
-                Hashtbl.replace cached seed None;
-                false
-              | Some true -> (
-                match
-                  (fstr "fkind", fstr "config", fstr "reproducer")
-                with
-                | Some k, Some c, Some r ->
-                  Hashtbl.replace cached seed (Some (k, c, r));
-                  false
-                | _ ->
-                  warn_diag
-                    (Campaign.Store.note_corrupt st key
-                       "entry is missing fuzz verdict fields");
-                  true)
-              | None ->
-                warn_diag
-                  (Campaign.Store.note_corrupt st key
-                     "entry is missing fuzz verdict fields");
-                true))
+            | Campaign.Store.Miss -> true)
           seed_ids
       | _ -> seed_ids
     in
@@ -1067,34 +1042,32 @@ let fuzz_cmd =
       List.iter
         (fun (seed, _) -> Hashtbl.replace aborted_tbl seed ())
         stats.aborted;
+      let encode seed = function
+        | Some ((f : Harness.Fuzz.failure), path) ->
+          Json.Obj
+            [
+              ("kind", Json.Str "fuzz/1");
+              ("seed", Json.Int seed);
+              ("failed", Json.Bool true);
+              ("fkind", Json.Str (Harness.Fuzz.kind_name f.kind));
+              ("config", Json.Str f.config);
+              ("detail", Json.Str f.detail);
+              ("reproducer", Json.Str (read_file path));
+            ]
+        | None ->
+          Json.Obj
+            [
+              ("kind", Json.Str "fuzz/1");
+              ("seed", Json.Int seed);
+              ("failed", Json.Bool false);
+            ]
+      in
       List.iter
         (fun seed ->
-          if not (Hashtbl.mem aborted_tbl seed) then begin
-            let key = key_of seed in
-            let entry =
-              match Hashtbl.find_opt failed_tbl seed with
-              | Some ((f : Harness.Fuzz.failure), path) ->
-                Json.Obj
-                  [
-                    ("kind", Json.Str "fuzz/1");
-                    ("seed", Json.Int seed);
-                    ("failed", Json.Bool true);
-                    ("fkind", Json.Str (Harness.Fuzz.kind_name f.kind));
-                    ("config", Json.Str f.config);
-                    ("detail", Json.Str f.detail);
-                    ("reproducer", Json.Str (read_file path));
-                  ]
-              | None ->
-                Json.Obj
-                  [
-                    ("kind", Json.Str "fuzz/1");
-                    ("seed", Json.Int seed);
-                    ("failed", Json.Bool false);
-                  ]
-            in
-            Campaign.Store.lease st key;
-            Campaign.Store.commit st ~key entry
-          end)
+          if not (Hashtbl.mem aborted_tbl seed) then
+            ignore
+              (Campaign.Store.record st ~key:(key_of seed) (encode seed)
+                 (fun () -> Hashtbl.find_opt failed_tbl seed)))
         to_run);
     (* Cached failures: the reproducer file is part of the verdict, so
        rewrite it, then report cached and fresh failures in seed order. *)
@@ -1168,50 +1141,6 @@ let socket_arg =
           "Unix-domain socket path.  Mind the platform's ~100-byte \
            socket-path limit; a short path under /tmp is safest.")
 
-(* The daemon-side result cache: measure payloads keyed on (source
-   bytes, input, machine, compiler fingerprint) in a campaign store.
-   The store's bookkeeping is mutex-guarded internally — [rc_measure]
-   runs concurrently on the daemon's worker domains. *)
-let store_cache dir =
-  let st = Campaign.Store.open_ dir in
-  {
-    Daemon.Server.rc_measure =
-      (fun ~source ~input ~machine compute ->
-        let key =
-          Campaign.Key.hex ~kind:"daemon-measure/1"
-            [
-              ("source", source);
-              ("input", input);
-              ("machine", machine);
-              ("compiler", Campaign.Key.fingerprint ());
-            ]
-        in
-        let recompute () =
-          Campaign.Store.lease st key;
-          match compute () with
-          | Ok payload ->
-            Campaign.Store.commit st ~key
-              (Json.Obj
-                 [
-                   ("kind", Json.Str "daemon-measure/1");
-                   ("payload", Json.Str (Json.to_string payload));
-                 ]);
-            Ok payload
-          | Error _ as e -> e
-        in
-        match Campaign.Store.find st key with
-        | Campaign.Store.Hit e -> (
-          match Option.bind (Json.member "payload" e) Json.get_string with
-          | Some payload -> Ok (Json.Raw payload)
-          | None ->
-            ignore
-              (Campaign.Store.note_corrupt st key
-                 "entry is missing the payload field");
-            recompute ())
-        | Campaign.Store.Miss | Campaign.Store.Corrupt _ -> recompute ());
-    rc_stats = (fun () -> Campaign.Store.stats st);
-  }
-
 let serve_cmd =
   let jobs =
     (* [None] defers the [default_jobs] env lookup (and its warning on a
@@ -1271,19 +1200,8 @@ let serve_cmd =
       value & flag
       & info [ "quiet" ] ~doc:"No connection/drain lifecycle lines on stderr.")
   in
-  let store_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Memoize measure payloads in a campaign result store under \
-             $(docv): repeated measure requests for identical source \
-             bytes are served from disk (surviving daemon restarts), and \
-             $(b,status) reports the store's hit/miss/corrupt gauges.")
-  in
   let run socket jobs queue_cap drain_deadline idle_timeout default_deadline
-      fuzz_out trace_out quiet store_dir =
+      fuzz_out trace_out quiet =
     let trace =
       Option.map (fun _ -> Telemetry.Trace.create ()) trace_out
     in
@@ -1302,7 +1220,6 @@ let serve_cmd =
           fuzz_out;
           trace;
           quiet;
-          store = Option.map store_cache store_dir;
         }
     in
     (match (trace_out, trace) with
@@ -1325,8 +1242,7 @@ let serve_cmd =
           SIGTERM")
     Term.(
       const run $ socket_arg $ jobs $ queue_cap $ drain_deadline
-      $ idle_timeout $ default_deadline $ fuzz_out $ trace_out_arg $ quiet
-      $ store_dir)
+      $ idle_timeout $ default_deadline $ fuzz_out $ trace_out_arg $ quiet)
 
 let client_cmd =
   let kind_arg =
@@ -1654,28 +1570,6 @@ let report_cmd =
       const run $ results_arg $ compare_flag $ out_arg $ dat_arg $ events_arg
       $ title_arg)
 
-(* --- worker: campaign shard worker process --- *)
-
-let worker_cmd =
-  let store =
-    Arg.(
-      value
-      & opt string Campaign.Store.default_dir
-      & info [ "store" ] ~docv:"DIR" ~doc:"Result store directory.")
-  in
-  let run store =
-    let st = Campaign.Store.open_ store in
-    Campaign.Shard.serve ~handler:(Campaign.Runner.worker_handler st) ()
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Campaign shard worker (spawned by a sharded $(b,bench) \
-          campaign): serve framed measure requests on stdin/stdout, \
-          committing each result to the store before replying, so a \
-          SIGKILLed campaign loses at most its in-flight task")
-    Term.(const run $ store)
-
 (* --- store: campaign result-store inspection and GC --- *)
 
 let store_cmd =
@@ -1778,7 +1672,6 @@ let main =
       client_cmd;
       report_cmd;
       fuzz_cmd;
-      worker_cmd;
       store_cmd;
       list_cmd;
     ]

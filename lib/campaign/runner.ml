@@ -76,7 +76,7 @@ let row_of_entry ~cached j =
       Some r_output_ok,
       Some r_timed_out,
       Some r_counters ) ->
-    Ok
+    Some
       {
         r_program;
         r_level;
@@ -87,21 +87,20 @@ let row_of_entry ~cached j =
         r_counters;
         r_cached = cached;
       }
-  | _ -> Error "entry is missing measure fields"
+  | _ -> None
 
 (* --- the worker side ------------------------------------------------- *)
 
 let error_reply msg =
   Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
 
-let measure_one store ~key b level machine =
-  Store.lease store key;
-  let wlog = Log.make Log.Memory in
-  let m = Measure.measure_raw ~log:wlog b level machine in
-  let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-  let entry = measure_entry ~key b level machine m counters in
-  Store.commit store ~key entry;
-  (m, counters, entry)
+(* Measure one task and commit its entry; returns the entry. *)
+let measure_one ?budget store ~key b level machine =
+  Store.record store ~key Fun.id (fun () ->
+      let wlog = Log.make Log.Memory in
+      let m = Measure.measure_raw ~log:wlog ?budget b level machine in
+      let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
+      measure_entry ~key b level machine m counters)
 
 let handle_measure store j =
   let str name = Option.bind (Json.member name j) Json.get_string in
@@ -118,11 +117,9 @@ let handle_measure store j =
     | Some b, Some level, Some mach -> (
       match measure_one store ~key b level mach with
       | exception e -> error_reply (Printexc.to_string e)
-      | _, _, entry -> (
-        match entry with
-        | Json.Obj fields ->
-          Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
-        | _ -> assert false))
+      | Json.Obj fields ->
+        Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
+      | _ -> assert false)
     | None, _, _ -> error_reply (Printf.sprintf "unknown benchmark %S" bench)
     | _, None, _ -> error_reply (Printf.sprintf "unknown level %S" level)
     | _, _, None -> error_reply (Printf.sprintf "unknown machine %S" machine))
@@ -140,19 +137,11 @@ let worker_handler store payload =
 
 (* --- the parent side ------------------------------------------------- *)
 
-let row_of_measure ~cached (b : Programs.Suite.benchmark) level
-    (machine : Ir.Machine.t) (m : Measure.t) counters =
-  ignore b;
-  {
-    r_program = m.Measure.program;
-    r_level = Opt.Driver.level_name level;
-    r_machine = machine.Ir.Machine.short;
-    r_row = Measure.to_json m;
-    r_output_ok = m.Measure.output_ok;
-    r_timed_out = m.Measure.timed_out;
-    r_counters = counters;
-    r_cached = cached;
-  }
+(* A freshly computed entry (or a worker's reply carrying one) as a row. *)
+let fresh_row j =
+  match row_of_entry ~cached:false j with
+  | Some row -> row
+  | None -> raise (Shard.Worker_failed "entry is missing measure fields")
 
 let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
     ?(retries = 2) ?chaos ?(log = Log.null) tasks =
@@ -165,13 +154,12 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
     List.iter
       (fun (_, key) ->
         if not (Hashtbl.mem cached key) then
-          match Store.find store key with
+          match
+            Store.recall store key ~what:"measure" (row_of_entry ~cached:true)
+          with
           | Store.Miss -> ()
           | Store.Corrupt d -> diags := d :: !diags
-          | Store.Hit entry -> (
-            match row_of_entry ~cached:true entry with
-            | Ok row -> Hashtbl.replace cached key row
-            | Error msg -> diags := Store.note_corrupt store key msg :: !diags))
+          | Store.Hit row -> Hashtbl.replace cached key row)
       keyed;
   let to_run =
     List.filter (fun (_, key) -> not (Hashtbl.mem cached key)) keyed
@@ -234,10 +222,7 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
             | Error e -> raise (Shard.Worker_failed ("unparsable reply: " ^ e))
             | Ok j -> (
               match Option.bind (Json.member "ok" j) Json.get_bool with
-              | Some true -> (
-                match row_of_entry ~cached:false j with
-                | Ok row -> row
-                | Error msg -> raise (Shard.Worker_failed msg))
+              | Some true -> fresh_row j
               | _ ->
                 let msg =
                   Option.value ~default:"worker error"
@@ -254,13 +239,7 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
       let outcomes, pstats =
         Pool.supervise ~jobs ?deadline ~retries ?chaos ~label
           (fun budget ((b, level, mach), key) ->
-            Store.lease store key;
-            let wlog = Log.make Log.Memory in
-            let m = Measure.measure_raw ~log:wlog ~budget b level mach in
-            let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-            let entry = measure_entry ~key b level mach m counters in
-            Store.commit store ~key entry;
-            row_of_measure ~cached:false b level mach m counters)
+            fresh_row (measure_one ~budget store ~key b level mach))
           to_run
       in
       (outcomes, pstats, 0, 0)

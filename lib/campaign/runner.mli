@@ -40,9 +40,9 @@ type summary = {
   pool : Harness.Pool.stats;
 }
 
-(** The frame handler behind [jumprepc worker] / [bench --worker]:
-    serve measure requests, committing each result to [store] before
-    replying.  Returns [None] on [{"op":"quit"}]. *)
+(** The frame handler behind [bench --worker]: serve measure requests,
+    committing each result to [store] before replying.  Returns [None]
+    on [{"op":"quit"}]. *)
 val worker_handler : Store.t -> string -> string option
 
 (** Run a campaign.  [resume] resolves committed entries before

@@ -23,13 +23,16 @@
     in flight when a campaign died ({!pending}); the journal is advisory
     only — resume correctness rests on the committed objects.
 
-    Handles are mutex-guarded; [O_APPEND] journal writes and
-    rename-into-place commits are safe across processes. *)
+    Callers outside tests go through {!recall} and {!record} only: one
+    read-back protocol (integrity, then shape) and one write protocol
+    (lease, compute, commit).  Handles hold no mutable state; [O_APPEND]
+    journal writes and rename-into-place commits are safe across domains
+    and processes. *)
 
 type t
 
-type lookup =
-  | Hit of Telemetry.Json.t
+type 'a lookup =
+  | Hit of 'a
   | Miss
   | Corrupt of Telemetry.Diag.t
       (** entry present but failed integrity/shape checks; recompute *)
@@ -43,7 +46,13 @@ val dir : t -> string
 
 (** Look up a committed entry.  Never raises: unreadable, truncated or
     corrupted entries return {!Corrupt}. *)
-val find : t -> string -> lookup
+val find : t -> string -> Telemetry.Json.t lookup
+
+(** {!find}, then [decode] the entry.  An entry [decode] rejects is
+    {!Corrupt} too, its diagnostic worded
+    ["entry is missing <what> fields"]. *)
+val recall :
+  t -> string -> what:string -> (Telemetry.Json.t -> 'a option) -> 'a lookup
 
 (** Record [key] as in-flight in the journal. *)
 val lease : t -> string -> unit
@@ -52,20 +61,16 @@ val lease : t -> string -> unit
     journal [done].  Overwrites any previous entry for [key]. *)
 val commit : t -> key:string -> Telemetry.Json.t -> unit
 
-(** Count a well-formed-but-wrong entry (bad shape after a {!Hit}) as
-    corrupt and return the [store-corrupt] diagnostic. *)
-val note_corrupt : t -> string -> string -> Telemetry.Diag.t
+(** [record t ~key encode compute]: {!lease} [key], run [compute], then
+    {!commit} [encode] of its result and return it.  If [compute]
+    raises, nothing is committed and the lease stays {!pending}. *)
+val record : t -> key:string -> ('a -> Telemetry.Json.t) -> (unit -> 'a) -> 'a
 
 (** Keys journaled [start] without a matching [done]. *)
 val pending : t -> string list
 
 (** [(entries, total payload bytes)] currently committed. *)
 val disk_usage : t -> int * int
-
-(** This handle's lookup/commit tallies:
-    [store.hits]/[store.misses]/[store.corrupt]/[store.commits]/
-    [store.evicted]. *)
-val stats : t -> (string * int) list
 
 (** Garbage collection: delete staged [tmp/] strays, compact the journal
     to just the still-pending leases, and — given [max_entries] — evict

@@ -17,11 +17,13 @@ type failure = { diag : Diag.t; exit_code : int }
 
 let fail ?(exit_code = 1) diag = Error { diag; exit_code }
 
-let make_opts ?(verify = false) ?inject_fault ?budget level =
+let make_opts ?(verify = false) ?(certify = false) ?inject_fault ?budget level
+    =
   {
     Opt.Driver.default_options with
     level;
     verify_passes = verify;
+    certify;
     inject_fault;
     budget;
   }
@@ -166,9 +168,7 @@ let lint_payload ~level ~machine ~path source =
 (* --- certify: per-pass translation-validation verdicts --- *)
 
 let certify_report ?log ?inject_fault ~level ~machine ~path source =
-  let opts =
-    { (make_opts ?inject_fault level) with Opt.Driver.certify = true }
-  in
+  let opts = make_opts ~certify:true ?inject_fault level in
   let diags = ref [] in
   let verdicts = ref [] in
   match compile_source ?log ~diags ~verdicts opts machine ~path source with

@@ -11,10 +11,12 @@
     code; the CLI maps it straight to [exit]. *)
 type failure = { diag : Telemetry.Diag.t; exit_code : int }
 
-(** The CLI's option set: [verify] and [inject_fault] off by default,
-    [budget] the degrade budget threaded into the replication passes. *)
+(** The CLI's option set: [verify], [certify] and [inject_fault] off by
+    default, [budget] the degrade budget threaded into the replication
+    passes. *)
 val make_opts :
   ?verify:bool ->
+  ?certify:bool ->
   ?inject_fault:string ->
   ?budget:Telemetry.Budget.t ->
   Opt.Driver.level ->

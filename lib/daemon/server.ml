@@ -23,16 +23,6 @@ module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
 module Service = Harness.Pool.Service
 
-type result_cache = {
-  rc_measure :
-    source:string ->
-    input:string ->
-    machine:string ->
-    (unit -> (Json.t, Ops.failure) result) ->
-    (Json.t, Ops.failure) result;
-  rc_stats : unit -> (string * int) list;
-}
-
 type config = {
   socket_path : string;
   jobs : int;
@@ -43,7 +33,6 @@ type config = {
   fuzz_out : string;
   trace : Telemetry.Trace.t option;
   quiet : bool;
-  store : result_cache option;
 }
 
 let default_config socket_path =
@@ -57,7 +46,6 @@ let default_config socket_path =
     fuzz_out = "fuzz-failures";
     trace = None;
     quiet = false;
-    store = None;
   }
 
 (* What a worker hands back: the payload (or the CLI-equivalent failure)
@@ -131,7 +119,7 @@ let fuzz_json (stats : Harness.Fuzz.stats) =
       ("aborted", Json.Int (List.length stats.aborted));
     ]
 
-let run_request ~fuzz_out ~store (env : Protocol.envelope) budget =
+let run_request ~fuzz_out (env : Protocol.envelope) budget =
   let qos = env.qos in
   let log =
     if qos.telemetry then Telemetry.Log.make Telemetry.Log.Memory
@@ -150,19 +138,8 @@ let run_request ~fuzz_out ~store (env : Protocol.envelope) budget =
     match env.req with
     | Protocol.Compile { path; source; level; machine } ->
       Ops.compile_payload ~log ?budget:degrade ~level ~machine ~path source
-    | Protocol.Measure { path; source; input; machine } -> (
-      (* The campaign store memoizes whole measure payloads: a hit skips
-         compile+run entirely (the cache is keyed on source bytes +
-         machine + compiler fingerprint, so it can never go stale).
-         Store bookkeeping is mutex-guarded inside the store — worker
-         domains land here concurrently. *)
-      let compute () =
-        Ops.measure_payload ~log ~budget ~path ~input machine source
-      in
-      match store with
-      | None -> compute ()
-      | Some rc ->
-        rc.rc_measure ~source ~input ~machine:machine.Ir.Machine.short compute)
+    | Protocol.Measure { path; source; input; machine } ->
+      Ops.measure_payload ~log ~budget ~path ~input machine source
     | Protocol.Lint { path; source; level; machine } ->
       Ops.lint_payload ~level ~machine ~path source
     | Protocol.Explain { path; source; level; machine } ->
@@ -207,12 +184,6 @@ let status_json t =
       ("lease_depth", Json.Int (Service.lease_depth t.svc));
       ("submitted", Json.Int (Service.submitted t.svc));
       ("connections", Json.Int (List.length t.conns));
-      ( "store",
-        match t.cfg.store with
-        | None -> Json.Null
-        | Some rc ->
-          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (rc.rc_stats ()))
-      );
       ("metrics", Metrics.to_json t.metrics);
     ]
 
@@ -260,7 +231,7 @@ let handle_envelope t conn (env : Protocol.envelope) =
             (Printf.sprintf "%s-c%d-r%d"
                (Protocol.kind_name env.req)
                conn.c_num env.id)
-          (run_request ~fuzz_out:t.cfg.fuzz_out ~store:t.cfg.store env)
+          (run_request ~fuzz_out:t.cfg.fuzz_out env)
       in
       Metrics.incr t.metrics "daemon.admitted";
       conn.c_pending <-

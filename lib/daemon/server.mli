@@ -9,23 +9,6 @@
     and SIGTERM (or a [drain] request) triggers a graceful,
     deadline-bounded drain.  See DESIGN.md "Daemon wire protocol". *)
 
-(** An optional result cache plugged in by the CLI (the campaign
-    store lives above this library, so the daemon sees it only as
-    closures).  [rc_measure] may serve a measure payload from cache or
-    delegate to the compute thunk (and persist the result);
-    [rc_stats] feeds the [status] response's store gauges.  Both are
-    called from worker domains concurrently — implementations must be
-    thread-safe. *)
-type result_cache = {
-  rc_measure :
-    source:string ->
-    input:string ->
-    machine:string ->
-    (unit -> (Telemetry.Json.t, Ops.failure) result) ->
-    (Telemetry.Json.t, Ops.failure) result;
-  rc_stats : unit -> (string * int) list;
-}
-
 type config = {
   socket_path : string;  (** Unix-domain socket path (unlinked on exit) *)
   jobs : int;  (** resident worker domains *)
@@ -38,8 +21,6 @@ type config = {
   trace : Telemetry.Trace.t option;
       (** record worker/supervisor lanes into this trace *)
   quiet : bool;  (** suppress lifecycle lines on stderr *)
-  store : result_cache option;
-      (** memoize measure payloads across requests (and daemon restarts) *)
 }
 
 (** jobs 1, queue cap 64, drain deadline 10s, idle timeout 30s, no

@@ -47,14 +47,7 @@ let test_roundtrip () =
   | Store.Miss | Store.Corrupt _ -> Alcotest.fail "expected a hit");
   let entries, bytes = Store.disk_usage st in
   Alcotest.(check int) "one committed entry" 1 entries;
-  Alcotest.(check bool) "payload bytes counted" true (bytes > 0);
-  let stats = Store.stats st in
-  Alcotest.(check (option int)) "hit counted" (Some 1)
-    (List.assoc_opt "store.hits" stats);
-  Alcotest.(check (option int)) "miss counted" (Some 1)
-    (List.assoc_opt "store.misses" stats);
-  Alcotest.(check (option int)) "commit counted" (Some 1)
-    (List.assoc_opt "store.commits" stats)
+  Alcotest.(check bool) "payload bytes counted" true (bytes > 0)
 
 let check_corrupt st key what =
   match Store.find st key with
@@ -75,12 +68,9 @@ let test_corruption_truncated () =
   check_corrupt st key "truncated entry";
   (* The recompute-and-recommit path restores the entry. *)
   Store.commit st ~key (sample_entry 1);
-  (match Store.find st key with
+  match Store.find st key with
   | Store.Hit _ -> ()
-  | _ -> Alcotest.fail "recommit did not restore the entry");
-  let stats = Store.stats st in
-  Alcotest.(check (option int)) "corruption counted" (Some 1)
-    (List.assoc_opt "store.corrupt" stats)
+  | _ -> Alcotest.fail "recommit did not restore the entry"
 
 let test_corruption_bitflip () =
   let dir = temp_dir () in
@@ -225,6 +215,102 @@ let test_sweep_resume_byte_identity () =
   Alcotest.(check string) "row matches the direct measurement" direct
     (List.hd cold_rows)
 
+let wc = lazy (Option.get (Programs.Suite.find "wc"))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* The worker frame handler, driven in-process: every malformed frame is
+   an [ok:false] reply with a fixed message, and a measure frame commits
+   an entry a resumed sweep then serves. *)
+let test_worker_handler_frames () =
+  let wc = Lazy.force wc in
+  let store = Store.open_ (temp_dir ()) in
+  let handle = Campaign.Runner.worker_handler store in
+  Alcotest.(check (option string)) "quit ends the loop" None
+    (handle {|{"op":"quit"}|});
+  let err msg =
+    Some (Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]))
+  in
+  let frame ~bench ~level ~machine =
+    Printf.sprintf
+      {|{"op":"measure","bench":"%s","level":"%s","machine":"%s","key":"%s"}|}
+      bench level machine (sample_key 0)
+  in
+  List.iter
+    (fun (what, payload, msg) ->
+      Alcotest.(check (option string)) what (err msg) (handle payload))
+    [
+      ("unparsable frame", "{", "unparsable request: " ^ Result.get_error (Json.parse "{"));
+      ("no op", {|{"bench":"wc"}|}, "request has no op");
+      ("unknown op", {|{"op":"frob"}|}, {|unknown op "frob"|});
+      ("missing fields", {|{"op":"measure","bench":"wc"}|}, "measure frame is missing fields");
+      ( "unknown bench",
+        frame ~bench:"nosuch" ~level:"SIMPLE" ~machine:"risc",
+        {|unknown benchmark "nosuch"|} );
+      ( "unknown level",
+        frame ~bench:"wc" ~level:"FAST" ~machine:"risc",
+        {|unknown level "FAST"|} );
+      ( "unknown machine",
+        frame ~bench:"wc" ~level:"SIMPLE" ~machine:"vax",
+        {|unknown machine "vax"|} );
+    ];
+  let key = Key.measure wc Opt.Driver.Simple Ir.Machine.risc in
+  let reply =
+    handle
+      (Printf.sprintf
+         {|{"op":"measure","bench":"wc","level":"SIMPLE","machine":"risc","key":"%s"}|}
+         key)
+  in
+  let j =
+    match Option.map Json.parse reply with
+    | Some (Ok j) -> j
+    | _ -> Alcotest.fail "measure frame: no parsable reply"
+  in
+  Alcotest.(check (option bool)) "measure reply is ok" (Some true)
+    (Option.bind (Json.member "ok" j) Json.get_bool);
+  Alcotest.(check (option string)) "reply row is the direct measurement"
+    (Some
+       (Harness.Measure.to_json
+          (Harness.Measure.run wc Opt.Driver.Simple Ir.Machine.risc)))
+    (Option.bind (Json.member "row" j) Json.get_string);
+  let _, s =
+    Campaign.Runner.sweep ~store ~resume:true
+      [ (wc, Opt.Driver.Simple, Ir.Machine.risc) ]
+  in
+  Alcotest.(check int) "resume hits the worker's entry" 1 s.Campaign.Runner.hits;
+  Alcotest.(check int) "resume computes nothing" 0 s.Campaign.Runner.computed
+
+(* An entry whose integrity header checks out but whose payload lacks the
+   measure fields is corrupt by shape: recomputed behind a diagnostic. *)
+let test_sweep_recomputes_misshapen_entry () =
+  let wc = Lazy.force wc in
+  let tasks = [ (wc, Opt.Driver.Simple, Ir.Machine.risc) ] in
+  let rows_of (rows, _) = List.map (fun r -> r.Campaign.Runner.r_row) rows in
+  let cold =
+    rows_of (Campaign.Runner.sweep ~store:(Store.open_ (temp_dir ())) ~resume:false tasks)
+  in
+  let store = Store.open_ (temp_dir ()) in
+  let key = Key.measure wc Opt.Driver.Simple Ir.Machine.risc in
+  Store.commit store ~key
+    (Json.Obj [ ("kind", Json.Str "measure/1"); ("key", Json.Str key) ]);
+  let rows, s = Campaign.Runner.sweep ~store ~resume:true tasks in
+  Alcotest.(check int) "one corrupt entry" 1 s.Campaign.Runner.corrupt;
+  Alcotest.(check int) "recomputed" 1 s.Campaign.Runner.computed;
+  (match s.Campaign.Runner.diags with
+  | [ d ] ->
+    Alcotest.(check string) "typed code" "store-corrupt"
+      (Telemetry.Diag.code_name d.code);
+    Alcotest.(check bool) "diagnostic names the shape" true
+      (contains ~sub:"entry is missing measure fields" d.message)
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  Alcotest.(check (list string)) "rows byte-identical to a cold run" cold
+    (rows_of (rows, s))
+
 let tests =
   ( "campaign",
     [
@@ -242,4 +328,8 @@ let tests =
         test_key_injective_on_boundaries;
       Alcotest.test_case "sweep resume is byte-identical" `Quick
         test_sweep_resume_byte_identity;
+      Alcotest.test_case "worker frames: errors, measure, resume" `Quick
+        test_worker_handler_frames;
+      Alcotest.test_case "misshapen entry is corrupt, recomputed" `Quick
+        test_sweep_recomputes_misshapen_entry;
     ] )
